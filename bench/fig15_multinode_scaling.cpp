@@ -20,11 +20,7 @@
 // simulation into engine domains — hybrid runs get one domain per node
 // plus the fabric/host domain, cluster-wide TP runs a fused host+world
 // partition — results are bit-identical at any count, see
-// sim/parallel_engine.h), --speculation N (default 0: optimistic
-// execution budget for checkpointable domains; results stay
-// bit-identical at any setting — the runtime's coroutine-backed cell
-// domains decline the hooks, so this run reports the counters to show
-// they are wired, not to show a win)
+// sim/parallel_engine.h)
 
 #include <cstdio>
 #include <fstream>
@@ -50,8 +46,6 @@ int main(int argc, char** argv) {
   const int requests = static_cast<int>(flags.get_int("requests", 100));
   const std::string trace_path = flags.get_string("trace", "");
   const int engine_threads = static_cast<int>(flags.get_int("engine-threads", 1));
-  const auto speculation =
-      static_cast<std::uint64_t>(flags.get_int("speculation", 0));
 
   const auto node = gpu::NodeSpec::v100_nvlink(4);
   const auto model = model::ModelZoo::opt_30b();
@@ -89,7 +83,6 @@ int main(int argc, char** argv) {
 
     cfg.method = Method::kHybrid;  // tp = devices/node, pp = nodes (defaults)
     cfg.engine_threads = engine_threads;
-    cfg.speculation = speculation;
     const auto hybrid = serving::run_experiment(cfg);
 
     cfg.method = Method::kLiger;  // whole-cluster tensor parallelism
@@ -102,13 +95,9 @@ int main(int argc, char** argv) {
                 tp.saturated() ? "*" : " ",
                 hybrid_thr_1node > 0 ? hybrid.throughput_bps / hybrid_thr_1node : 1.0);
     if (hybrid.engine.partitioned) {
-      std::printf("%6s | engine: %llu windows, %.1f events/window, speculated %llu "
-                  "(committed %llu, rolled back %llu)\n",
-                  "", static_cast<unsigned long long>(hybrid.engine.windows),
-                  hybrid.engine.events_per_window,
-                  static_cast<unsigned long long>(hybrid.engine.speculated),
-                  static_cast<unsigned long long>(hybrid.engine.committed),
-                  static_cast<unsigned long long>(hybrid.engine.rolled_back));
+      std::printf("%6s | engine: %llu windows, %.1f events/window\n", "",
+                  static_cast<unsigned long long>(hybrid.engine.windows),
+                  hybrid.engine.events_per_window);
     }
   }
 

@@ -109,65 +109,6 @@ void BM_DeviceKernelChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_DeviceKernelChurn)->Arg(256)->Arg(4096);
 
-// Optimistic-execution primitives (sim/engine.h speculation API): the
-// numbers that make the speculation-budget default data-driven.
-//
-// Speculate-and-commit is the winning path: every event runs under the
-// speculation log (slot retained, spawns/cancels recorded) and the
-// episode later commits wholesale. items/s here is "events
-// checkpointed per second" — the throughput ceiling of a domain running
-// past its conservative horizon. The checkpoint hooks copy a 4 KiB
-// state block per episode, a representative domain-local snapshot.
-void BM_EngineSpeculateCommit(benchmark::State& state) {
-  const int budget = static_cast<int>(state.range(0));
-  std::vector<std::uint8_t> model_state(4096, 0xab);
-  std::vector<std::uint8_t> snapshot;
-  for (auto _ : state) {
-    sim::Engine engine;
-    engine.set_checkpoint_hooks([&] { snapshot = model_state; },
-                                [&] { model_state = snapshot; });
-    int fired = 0;
-    for (int i = 0; i < budget; ++i) {
-      engine.schedule_at(i, [&fired] { ++fired; });
-    }
-    const std::uint64_t speculated =
-        engine.run_speculative(static_cast<std::uint64_t>(budget));
-    if (engine.spec_commit_all() != speculated) std::abort();
-    if (fired != budget) std::abort();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * budget);
-}
-BENCHMARK(BM_EngineSpeculateCommit)->Arg(64)->Arg(1024);
-
-// The losing path: the same episode is rolled back (events re-queued
-// under their original slots, clock and counters restored, model state
-// restored) and then re-executed conservatively. items/s is the
-// rollback re-execution rate — how fast a domain recovers from a
-// straggler; the gap to BM_EngineSpeculateCommit is the price of a
-// misprediction and what bounds a sane speculation budget.
-void BM_EngineSpeculateRollback(benchmark::State& state) {
-  const int budget = static_cast<int>(state.range(0));
-  std::vector<std::uint8_t> model_state(4096, 0xab);
-  std::vector<std::uint8_t> snapshot;
-  for (auto _ : state) {
-    sim::Engine engine;
-    engine.set_checkpoint_hooks([&] { snapshot = model_state; },
-                                [&] { model_state = snapshot; });
-    int fired = 0;
-    for (int i = 0; i < budget; ++i) {
-      engine.schedule_at(i, [&fired] { ++fired; });
-    }
-    engine.run_speculative(static_cast<std::uint64_t>(budget));
-    if (engine.spec_rollback() != static_cast<std::uint64_t>(budget)) std::abort();
-    engine.run();  // conservative re-execution from the restored state
-    if (fired != 2 * budget) std::abort();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * budget);
-}
-BENCHMARK(BM_EngineSpeculateRollback)->Arg(64)->Arg(1024);
-
 void BM_SchedulerNextRound(benchmark::State& state) {
   sim::Engine engine;
   interconnect::Topology topo(interconnect::InterconnectSpec::nvlink_v100(), 4);

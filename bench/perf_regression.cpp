@@ -38,31 +38,19 @@
 //                            warning without failing the harness.
 //   * fig15_multinode      — end-to-end 4-node hybrid serving (8-GPU
 //                            nodes, two pipeline stages per node), swept
-//                            over engine_threads {1, 2, 4, 8, hw} plus a
-//                            speculation off/on pair at 4 threads; every
+//                            over engine_threads {1, 2, 4, 8, hw}; every
 //                            partitioned entry records its wall-clock
-//                            speedup_vs_serial and the optimistic-
-//                            execution counters
-//                            (speculated/committed/rolled_back), the
-//                            harness exits non-zero if any partitioned
-//                            makespan diverges from serial, and it warns
-//                            (or fails, under --fail_below_serial) when
-//                            a partitioned run is slower than serial.
-//                            The speculative entry underperforming the
-//                            speculation=off entry is always a non-fatal
-//                            warning, even under --fail_below_serial:
-//                            the production domains are coroutine-backed
-//                            and decline checkpoint hooks, so the pair
-//                            mostly guards that the speculation plumbing
-//                            costs nothing when it cannot engage.
+//                            speedup_vs_serial, the harness exits
+//                            non-zero if any partitioned makespan
+//                            diverges from serial, and it warns (or
+//                            fails, under --fail_below_serial) when a
+//                            partitioned run is slower than serial
 //
 // Flags:
 //   --out FILE          output path            (default BENCH_engine.json)
 //   --min_time SECS     min measured time/bench (default 0.3)
 //   --requests N        fig10 panel-a requests  (default 120)
 //   --fig15_requests N  fig15 hybrid requests   (default 96)
-//   --fig15_speculation N  optimistic budget for the speculative fig15
-//                       entries (default 256; 0 disables the pair)
 //   --filter SUBSTR     run only benchmarks whose name contains SUBSTR
 //   --fail_below_serial exit non-zero if any partitioned fig15 entry is
 //                       slower than serial (the CI regression guard; off
@@ -70,12 +58,13 @@
 //                       the harness spuriously)
 //   --baseline          also print the recorded pre-optimization numbers
 //
-// The JSON includes, alongside the fresh measurements, the recorded
-// reference numbers for the same workloads measured on the designs they
-// replaced (same build flags, quiesced machine) — the std::map event
-// engine for the engine/device benches, the rebuild-per-submit serving
-// layer for the steady-state benches — so a single file documents the
-// before/after.
+// The JSON opens with a "conditions" block (core count, compiler and
+// build type) saying which machine and build produced it. Alongside the
+// fresh measurements it records the reference numbers for the same
+// workloads measured on the designs they replaced (same build flags,
+// quiesced machine) — the std::map event engine for the engine/device
+// benches, the rebuild-per-submit serving layer for the steady-state
+// benches — so a single file documents the before/after.
 
 #include <algorithm>
 #include <chrono>
@@ -272,7 +261,6 @@ GenerativeSteadyResult generative_steady(int conversations, int tokens) {
 // = healthy; a speedup below 1.0 prints a warning without failing).
 struct Fig15Result {
   int engine_threads = 1;
-  std::uint64_t speculation = 0;  // ExperimentConfig::speculation budget
   double wall_ms = 0.0;
   double speedup_vs_serial = 0.0;  // 0 for the serial entry itself
   sim::SimTime makespan = 0;
@@ -280,8 +268,7 @@ struct Fig15Result {
   serving::Report::EngineStats engine;
 };
 
-Fig15Result fig15_multinode(int requests, int engine_threads,
-                            std::uint64_t speculation) {
+Fig15Result fig15_multinode(int requests, int engine_threads) {
   serving::ExperimentConfig cfg;
   cfg.node = gpu::NodeSpec::v100_nvlink(8);
   cfg.model = model::ModelZoo::opt_30b();
@@ -294,10 +281,8 @@ Fig15Result fig15_multinode(int requests, int engine_threads,
   cfg.workload.num_requests = requests;
   cfg.workload.batch_size = 2;
   cfg.engine_threads = engine_threads;
-  cfg.speculation = speculation;
   Fig15Result r;
   r.engine_threads = engine_threads;
-  r.speculation = speculation;
   const auto start = Clock::now();
   const auto report = serving::run_experiment(cfg);
   r.wall_ms = seconds_since(start) * 1e3;
@@ -313,11 +298,9 @@ Fig15Result fig15_multinode(int requests, int engine_threads,
 void fold_fig15_rep(Fig15Result& into, const Fig15Result& rep, int rep_index) {
   if (rep.makespan != into.makespan || rep.completed != into.completed) {
     std::fprintf(stderr,
-                 "fig15 rep %d (%d threads, speculation %llu) diverged from rep 0: "
-                 "makespan %lld vs %lld\n",
-                 rep_index, into.engine_threads,
-                 static_cast<unsigned long long>(into.speculation),
-                 static_cast<long long>(rep.makespan),
+                 "fig15 rep %d (%d threads) diverged from rep 0: makespan %lld vs "
+                 "%lld\n",
+                 rep_index, into.engine_threads, static_cast<long long>(rep.makespan),
                  static_cast<long long>(into.makespan));
     std::exit(1);
   }
@@ -581,42 +564,23 @@ int main(int argc, char** argv) {
         static_cast<int>(flags.get_int("availability_requests", 24)));
   }
 
-  // fig15 hybrid serving: engine_threads sweep {1, 2, 4, 8, hw} with the
-  // optimistic-execution budget on for every partitioned entry, plus one
-  // speculation-off entry at 4 threads so the off/on wall clocks are
-  // directly comparable (hw floor of 2 so the worker path is exercised
-  // even on single-core CI runners; 8 recorded unconditionally — it is
-  // the acceptance point for the hierarchical partition). Entry 0 is
-  // the serial reference. Makespans must agree across the whole
-  // (threads x speculation) grid — speculation may only change how the
-  // simulation executes, never what it computes.
+  // fig15 hybrid serving: engine_threads sweep {1, 2, 4, 8, hw}, deduped
+  // and sorted (hw floor of 2 so the worker path is exercised even on
+  // single-core CI runners; 8 recorded unconditionally — it is the
+  // acceptance point for the hierarchical partition). Entry 0 is the
+  // serial reference.
   const int fig15_requests = static_cast<int>(flags.get_int("fig15_requests", 96));
   const int fig15_reps =
       std::max(1, static_cast<int>(flags.get_int("fig15_reps", 3)));
-  const auto fig15_spec =
-      static_cast<std::uint64_t>(flags.get_int("fig15_speculation", 256));
   const int hw_threads = std::max(
       2, static_cast<int>(std::thread::hardware_concurrency()));
-  struct Fig15Point {
-    int threads;
-    std::uint64_t speculation;
-    bool operator==(const Fig15Point& o) const {
-      return threads == o.threads && speculation == o.speculation;
-    }
-    bool operator<(const Fig15Point& o) const {
-      return threads != o.threads ? threads < o.threads
-                                  : speculation < o.speculation;
-    }
-  };
-  std::vector<Fig15Point> fig15_points = {{1, 0},          {2, fig15_spec},
-                                          {4, 0},          {4, fig15_spec},
-                                          {8, fig15_spec}, {hw_threads, fig15_spec}};
-  std::sort(fig15_points.begin(), fig15_points.end());
-  fig15_points.erase(std::unique(fig15_points.begin(), fig15_points.end()),
-                     fig15_points.end());
+  std::vector<int> fig15_threads = {1, 2, 4, 8, hw_threads};
+  std::sort(fig15_threads.begin(), fig15_threads.end());
+  fig15_threads.erase(std::unique(fig15_threads.begin(), fig15_threads.end()),
+                      fig15_threads.end());
   std::vector<Fig15Result> fig15;
   if (run_fig15) {
-    // Rep-major sampling: each rep sweeps the whole entry list, and each
+    // Rep-major sampling: each rep sweeps the whole thread list, and each
     // entry keeps its minimum wall clock across reps. speedup_vs_serial
     // divides two wall clocks, and on a shared machine single-shot (or
     // block-per-entry) sampling folds multi-second scheduler-load spikes
@@ -624,9 +588,9 @@ int main(int argc, char** argv) {
     // entries so the mins stay comparable. The simulation itself is
     // deterministic — every rep must land the identical makespan, which
     // doubles as a free replay check.
-    fig15.reserve(fig15_points.size());
-    for (const auto& p : fig15_points) {
-      fig15.push_back(fig15_multinode(fig15_requests, p.threads, p.speculation));
+    fig15.reserve(fig15_threads.size());
+    for (const int t : fig15_threads) {
+      fig15.push_back(fig15_multinode(fig15_requests, t));
     }
     // Later reps rotate the starting entry so any periodic background
     // activity (whose phase can correlate with a fixed sweep order)
@@ -634,12 +598,10 @@ int main(int argc, char** argv) {
     // one or two entries eat the recurring tick in every rep and their
     // minima never converge to the same floor as the others'.
     for (int rep = 1; rep < fig15_reps; ++rep) {
-      const std::size_t k = fig15_points.size();
+      const std::size_t k = fig15_threads.size();
       for (std::size_t j = 0; j < k; ++j) {
         const std::size_t i = (j + static_cast<std::size_t>(rep)) % k;
-        fold_fig15_rep(fig15[i],
-                       fig15_multinode(fig15_requests, fig15_points[i].threads,
-                                       fig15_points[i].speculation),
+        fold_fig15_rep(fig15[i], fig15_multinode(fig15_requests, fig15_threads[i]),
                        rep);
       }
     }
@@ -650,10 +612,9 @@ int main(int argc, char** argv) {
     if (r.engine_threads == 1) continue;
     if (r.makespan != fig15_serial.makespan || r.completed != fig15_serial.completed) {
       std::fprintf(stderr,
-                   "fig15 partitioned run (%d threads, speculation %llu) diverged "
-                   "from serial: makespan %lld vs %lld, completed %zu vs %zu\n",
-                   r.engine_threads, static_cast<unsigned long long>(r.speculation),
-                   static_cast<long long>(r.makespan),
+                   "fig15 partitioned run (%d threads) diverged from serial: makespan "
+                   "%lld vs %lld, completed %zu vs %zu\n",
+                   r.engine_threads, static_cast<long long>(r.makespan),
                    static_cast<long long>(fig15_serial.makespan), r.completed,
                    fig15_serial.completed);
       return 1;
@@ -665,25 +626,6 @@ int main(int argc, char** argv) {
                    "WARNING: fig15 at %d engine threads ran %.2fx serial wall-clock "
                    "(slower than serial; makespan is bit-identical)\n",
                    r.engine_threads, r.speedup_vs_serial);
-    }
-  }
-  // Speculation off/on at the same thread count: always a non-fatal
-  // warning (never folded into --fail_below_serial) — with every
-  // production domain declining checkpoint hooks the two configurations
-  // do identical work, so a gap beyond noise means the speculation
-  // plumbing itself regressed the conservative path.
-  for (const auto& off : fig15) {
-    if (off.speculation != 0 || off.engine_threads == 1) continue;
-    for (const auto& on : fig15) {
-      if (on.engine_threads != off.engine_threads || on.speculation == 0) continue;
-      if (on.wall_ms > off.wall_ms * 1.05) {
-        std::fprintf(stderr,
-                     "WARNING: fig15 at %d threads with speculation %llu ran %.1f ms "
-                     "vs %.1f ms with speculation off\n",
-                     on.engine_threads,
-                     static_cast<unsigned long long>(on.speculation), on.wall_ms,
-                     off.wall_ms);
-      }
     }
   }
 
@@ -732,15 +674,11 @@ int main(int argc, char** argv) {
       continue;
     }
     std::printf(
-        "%-28s %12s %11.1f ms (makespan identical, %d threads, spec %llu, %.2fx "
-        "serial wall, %llu windows, %llu inner, %.1f events/window, "
-        "speculated %llu/rolled back %llu)\n",
+        "%-28s %12s %11.1f ms (makespan identical, %d threads, %.2fx serial wall, "
+        "%llu windows, %llu inner, %.1f events/window)\n",
         "fig15_multinode/end_to_end", "1", r.wall_ms, r.engine_threads,
-        (unsigned long long)r.speculation, r.speedup_vs_serial,
-        (unsigned long long)r.engine.windows,
-        (unsigned long long)r.engine.inner_windows, r.engine.events_per_window,
-        (unsigned long long)r.engine.speculated,
-        (unsigned long long)r.engine.rolled_back);
+        r.speedup_vs_serial, (unsigned long long)r.engine.windows,
+        (unsigned long long)r.engine.inner_windows, r.engine.events_per_window);
   }
   if (flags.get_bool("baseline", false)) {
     std::printf("\nstd::map engine baseline (recorded):\n");
@@ -762,6 +700,12 @@ int main(int argc, char** argv) {
     util::JsonWriter json(out);
     json.begin_object();
     json.kv("schema", "liger-perf-regression-v1");
+    json.key("conditions");
+    json.begin_object();
+    json.kv("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+    json.kv("compiler", LIGER_CXX_COMPILER);
+    json.kv("build_type", LIGER_BUILD_TYPE);
+    json.end_object();
     json.kv("min_time_s", min_time);
     json.key("benchmarks");
     json.begin_array();
@@ -838,7 +782,6 @@ int main(int argc, char** argv) {
       json.begin_object();
       json.kv("name", "fig15_multinode/end_to_end");
       json.kv("engine_threads", r.engine_threads);
-      json.kv("speculation", static_cast<std::int64_t>(r.speculation));
       json.kv("requests", fig15_requests);
       json.kv("wall_ms", r.wall_ms);
       json.kv("sim_makespan_ms", sim::to_ms(r.makespan));
@@ -852,12 +795,6 @@ int main(int argc, char** argv) {
         json.kv("engine_events_per_window", r.engine.events_per_window);
         json.kv("engine_posts_routed", static_cast<std::int64_t>(r.engine.posts_routed));
         json.kv("engine_barrier_wait_ms", r.engine.barrier_wait_ns / 1e6);
-        json.kv("engine_speculated", static_cast<std::int64_t>(r.engine.speculated));
-        json.kv("engine_committed", static_cast<std::int64_t>(r.engine.committed));
-        json.kv("engine_rolled_back",
-                static_cast<std::int64_t>(r.engine.rolled_back));
-        json.kv("engine_staged_posts",
-                static_cast<std::int64_t>(r.engine.staged_posts));
       }
       json.end_object();
     }

@@ -5,7 +5,7 @@
 //   $ ./run_experiment configs/fig10_panel_a.json
 //   $ ./run_experiment configs/custom_node.json --json
 //   $ ./run_experiment cfg.json --rates 10,20,30 --threads 4
-//   $ ./run_experiment cfg.json --engine_threads 4 --speculation 256
+//   $ ./run_experiment cfg.json --engine_threads 4
 
 #include <cstdio>
 #include <iostream>
@@ -34,19 +34,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Partitioned-engine overrides: worker count and the optimistic
-  // execution budget (0 = conservative windows only). Both change only
-  // how the simulation executes, never what it computes.
+  // Partitioned-engine worker count: changes only how the simulation
+  // executes, never what it computes.
   if (flags.has("engine_threads")) {
     base.engine_threads = static_cast<int>(flags.get_int("engine_threads", base.engine_threads));
-  }
-  if (flags.has("speculation")) {
-    const long long spec = flags.get_int("speculation", 0);
-    if (spec < 0) {
-      std::fprintf(stderr, "config error: speculation must be >= 0\n");
-      return 2;
-    }
-    base.speculation = static_cast<std::uint64_t>(spec);
   }
 
   // Optional rate sweep (run in parallel across cores).
@@ -110,9 +101,6 @@ int main(int argc, char** argv) {
       if (r.engine.partitioned) {
         w.kv("engine_windows", static_cast<std::int64_t>(r.engine.windows));
         w.kv("engine_events_per_window", r.engine.events_per_window);
-        w.kv("engine_speculated", static_cast<std::int64_t>(r.engine.speculated));
-        w.kv("engine_committed", static_cast<std::int64_t>(r.engine.committed));
-        w.kv("engine_rolled_back", static_cast<std::int64_t>(r.engine.rolled_back));
       }
       w.end_object();
     }
@@ -148,16 +136,9 @@ int main(int argc, char** argv) {
         }
       }
       if (r.engine.partitioned) {
-        std::printf("           engine: %llu windows (%.1f events/window)",
+        std::printf("           engine: %llu windows (%.1f events/window)\n",
                     static_cast<unsigned long long>(r.engine.windows),
                     r.engine.events_per_window);
-        if (r.engine.speculated > 0) {
-          std::printf(" | speculated %llu (committed %llu, rolled back %llu)",
-                      static_cast<unsigned long long>(r.engine.speculated),
-                      static_cast<unsigned long long>(r.engine.committed),
-                      static_cast<unsigned long long>(r.engine.rolled_back));
-        }
-        std::printf("\n");
       }
     }
   }

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace liger::serving {
 
@@ -14,15 +17,26 @@ std::string lower(std::string s) {
   return s;
 }
 
+// Optional integer field that must fit an int. A bare
+// static_cast<int>(int_or(...)) would wrap 4294967297 to 1 and slip past
+// every later range check.
+int int_field(const util::JsonValue& obj, const std::string& key, int def) {
+  const std::int64_t v = obj.int_or(key, def);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(key + " is out of range: " + std::to_string(v));
+  }
+  return static_cast<int>(v);
+}
+
 gpu::NodeSpec node_from_json(const util::JsonValue& node) {
   const std::string preset = lower(node.string_or("preset", "v100"));
-  const int devices = static_cast<int>(node.int_or("devices", 4));
+  const int devices = int_field(node, "devices", 4);
   gpu::NodeSpec spec = preset == "a100" ? gpu::NodeSpec::a100_pcie(devices)
                                         : gpu::NodeSpec::v100_nvlink(devices);
-  spec.max_connections = static_cast<int>(node.int_or("max_connections", spec.max_connections));
+  spec.max_connections = int_field(node, "max_connections", spec.max_connections);
 
   if (const auto* g = node.find("gpu")) {
-    spec.gpu.sm_count = static_cast<int>(g->int_or("sms", spec.gpu.sm_count));
+    spec.gpu.sm_count = int_field(*g, "sms", spec.gpu.sm_count);
     spec.gpu.fp16_flops = g->number_or("fp16_tflops", spec.gpu.fp16_flops / 1e12) * 1e12;
     spec.gpu.mem_bandwidth = g->number_or("mem_bw_gbps", spec.gpu.mem_bandwidth / 1e9) * 1e9;
     spec.gpu.mem_bytes = static_cast<std::uint64_t>(
@@ -38,15 +52,15 @@ gpu::NodeSpec node_from_json(const util::JsonValue& node) {
     spec.link.p2p_bandwidth =
         l->number_or("p2p_bw_gbps", spec.link.p2p_bandwidth / 1e9) * 1e9;
     spec.link.channels_for_peak =
-        static_cast<int>(l->int_or("channels_for_peak", spec.link.channels_for_peak));
+        int_field(*l, "channels_for_peak", spec.link.channels_for_peak);
   }
   return spec;
 }
 
 model::ModelSpec model_from_json(const util::JsonValue& m) {
   model::ModelSpec spec = model::ModelZoo::by_name(m.string_or("preset", "opt-30b"));
-  const auto layers = m.int_or("layers", spec.layers);
-  if (layers != spec.layers) spec = spec.with_layers(static_cast<int>(layers));
+  const int layers = int_field(m, "layers", spec.layers);
+  if (layers != spec.layers) spec = spec.with_layers(layers);
   return spec;
 }
 
@@ -104,27 +118,20 @@ ExperimentConfig config_from_json(const util::JsonValue& doc) {
   cfg.method = parse_method(doc.string_or("method", "liger"));
   cfg.rate = doc.number_or("rate", cfg.rate);
   cfg.poisson = doc.bool_or("poisson", cfg.poisson);
-  cfg.engine_threads =
-      static_cast<int>(doc.int_or("engine_threads", cfg.engine_threads));
+  cfg.engine_threads = int_field(doc, "engine_threads", cfg.engine_threads);
   if (cfg.engine_threads < 1) {
     throw std::invalid_argument("engine_threads must be >= 1");
   }
-  const long long spec =
-      doc.int_or("speculation", static_cast<long long>(cfg.speculation));
-  if (spec < 0) throw std::invalid_argument("speculation must be >= 0");
-  cfg.speculation = static_cast<std::uint64_t>(spec);
 
   if (const auto* w = doc.find("workload")) {
-    cfg.workload.num_requests =
-        static_cast<int>(w->int_or("requests", cfg.workload.num_requests));
-    cfg.workload.batch_size = static_cast<int>(w->int_or("batch", cfg.workload.batch_size));
-    cfg.workload.seq_min = static_cast<int>(w->int_or("seq_min", cfg.workload.seq_min));
-    cfg.workload.seq_max = static_cast<int>(w->int_or("seq_max", cfg.workload.seq_max));
+    cfg.workload.num_requests = int_field(*w, "requests", cfg.workload.num_requests);
+    cfg.workload.batch_size = int_field(*w, "batch", cfg.workload.batch_size);
+    cfg.workload.seq_min = int_field(*w, "seq_min", cfg.workload.seq_min);
+    cfg.workload.seq_max = int_field(*w, "seq_max", cfg.workload.seq_max);
     cfg.workload.seed = static_cast<std::uint64_t>(w->int_or("seed", 7));
     cfg.workload.phase = parse_phase(w->string_or("phase", "prefill"));
     cfg.workload.deadline = sim::from_us(w->number_or("deadline_ms", 0.0) * 1e3);
-    cfg.workload.max_retries =
-        static_cast<int>(w->int_or("max_retries", cfg.workload.max_retries));
+    cfg.workload.max_retries = int_field(*w, "max_retries", cfg.workload.max_retries);
     cfg.workload.retry_backoff = sim::from_us(
         w->number_or("retry_backoff_ms", sim::to_ms(cfg.workload.retry_backoff)) * 1e3);
     cfg.workload.retry_backoff_cap = sim::from_us(
@@ -132,9 +139,9 @@ ExperimentConfig config_from_json(const util::JsonValue& doc) {
         1e3);
     cfg.workload.retry_jitter = w->number_or("retry_jitter", cfg.workload.retry_jitter);
     cfg.workload.decode_tokens_min =
-        static_cast<int>(w->int_or("decode_tokens_min", cfg.workload.decode_tokens_min));
+        int_field(*w, "decode_tokens_min", cfg.workload.decode_tokens_min);
     cfg.workload.decode_tokens_max =
-        static_cast<int>(w->int_or("decode_tokens_max", cfg.workload.decode_tokens_max));
+        int_field(*w, "decode_tokens_max", cfg.workload.decode_tokens_max);
     if (cfg.workload.decode_tokens_max > 0 && cfg.workload.decode_tokens_min < 1) {
       cfg.workload.decode_tokens_min = 1;
     }
@@ -149,18 +156,15 @@ ExperimentConfig config_from_json(const util::JsonValue& doc) {
     } else {
       throw std::invalid_argument("unknown batching mode: " + mode);
     }
-    cfg.continuous.block_tokens =
-        static_cast<int>(b->int_or("block_tokens", cfg.continuous.block_tokens));
+    cfg.continuous.block_tokens = int_field(*b, "block_tokens", cfg.continuous.block_tokens);
     cfg.continuous.kv_pool_bytes = static_cast<std::uint64_t>(
         b->number_or("kv_gb", static_cast<double>(cfg.continuous.kv_pool_bytes) /
                                   static_cast<double>(1ull << 30)) *
         static_cast<double>(1ull << 30));
     cfg.continuous.kv_pool_fraction =
         b->number_or("kv_pool_fraction", cfg.continuous.kv_pool_fraction);
-    cfg.continuous.token_budget =
-        static_cast<int>(b->int_or("token_budget", cfg.continuous.token_budget));
-    cfg.continuous.max_running =
-        static_cast<int>(b->int_or("max_running", cfg.continuous.max_running));
+    cfg.continuous.token_budget = int_field(*b, "token_budget", cfg.continuous.token_budget);
+    cfg.continuous.max_running = int_field(*b, "max_running", cfg.continuous.max_running);
     cfg.continuous.admit_reserve =
         b->number_or("admit_reserve", cfg.continuous.admit_reserve);
     const std::string pre = lower(b->string_or("preemption", "recompute"));
@@ -179,16 +183,16 @@ ExperimentConfig config_from_json(const util::JsonValue& doc) {
   }
 
   if (const auto* c = doc.find("cluster")) {
-    cfg.num_nodes = static_cast<int>(c->int_or("nodes", cfg.num_nodes));
+    cfg.num_nodes = int_field(*c, "nodes", cfg.num_nodes);
     if (cfg.num_nodes < 1) throw std::invalid_argument("cluster.nodes must be >= 1");
     if (const auto* f = c->find("fabric")) cfg.fabric = fabric_from_json(*f);
-    cfg.hybrid_tp = static_cast<int>(c->int_or("tp", cfg.hybrid_tp));
-    cfg.hybrid_pp = static_cast<int>(c->int_or("pp", cfg.hybrid_pp));
+    cfg.hybrid_tp = int_field(*c, "tp", cfg.hybrid_tp);
+    cfg.hybrid_pp = int_field(*c, "pp", cfg.hybrid_pp);
   }
 
   if (const auto* l = doc.find("liger")) {
     cfg.liger.decomposition_factor =
-        static_cast<int>(l->int_or("decomposition_factor", cfg.liger.decomposition_factor));
+        int_field(*l, "decomposition_factor", cfg.liger.decomposition_factor);
     cfg.liger.enable_decomposition =
         l->bool_or("enable_decomposition", cfg.liger.enable_decomposition);
     if (const auto* cf = l->find("contention_factor")) {
@@ -199,10 +203,8 @@ ExperimentConfig config_from_json(const util::JsonValue& doc) {
     const std::string sync = lower(l->string_or("sync", "hybrid"));
     cfg.liger.sync =
         sync == "cpu-gpu" ? core::SyncMode::kCpuGpuOnly : core::SyncMode::kHybrid;
-    cfg.liger.comm.max_nchannels =
-        static_cast<int>(l->int_or("nccl_channels", cfg.liger.comm.max_nchannels));
-    cfg.liger.processing_slots =
-        static_cast<int>(l->int_or("processing_slots", cfg.liger.processing_slots));
+    cfg.liger.comm.max_nchannels = int_field(*l, "nccl_channels", cfg.liger.comm.max_nchannels);
+    cfg.liger.processing_slots = int_field(*l, "processing_slots", cfg.liger.processing_slots);
     cfg.liger.sequence_parallel =
         l->bool_or("sequence_parallel", cfg.liger.sequence_parallel);
   }
@@ -221,8 +223,8 @@ std::vector<model::BatchRequest> trace_from_json(const util::JsonValue& doc) {
     model::BatchRequest req;
     req.id = id++;
     req.arrival = sim::from_us(entry.number_or("t_ms", 0.0) * 1e3);
-    req.batch_size = static_cast<int>(entry.int_or("batch", 1));
-    req.seq = static_cast<int>(entry.int_or("seq", 64));
+    req.batch_size = int_field(entry, "batch", 1);
+    req.seq = int_field(entry, "seq", 64);
     req.phase = parse_phase(entry.string_or("phase", "prefill"));
     if (req.arrival < prev) throw std::invalid_argument("trace not sorted by t_ms");
     prev = req.arrival;

@@ -243,9 +243,7 @@ ExperimentOutputs run_experiment_detailed(const ExperimentConfig& config) {
       node_domains.assign(static_cast<std::size_t>(config.num_nodes), 1);
       fabric_domain = 1;
     }
-    sim::ParallelEngine::Options pe_options;
-    pe_options.speculation_budget = config.speculation;
-    pe = std::make_unique<sim::ParallelEngine>(domains, pe_options);
+    pe = std::make_unique<sim::ParallelEngine>(domains);
     const sim::SimTime submit_la = faults ? 0 : core::kSubmitDispatchLatency;
     for (int d = 1; d < domains; ++d) {
       pe->lookahead().set(0, d, submit_la);
@@ -593,10 +591,6 @@ ExperimentOutputs run_experiment_detailed(const ExperimentConfig& config) {
     out.report.engine.posts_routed = es.posts_routed;
     out.report.engine.mailbox_spills = es.mailbox_spills;
     out.report.engine.barrier_wait_ns = es.barrier_wait_ns;
-    out.report.engine.speculated = es.speculated;
-    out.report.engine.committed = es.committed;
-    out.report.engine.rolled_back = es.rolled_back;
-    out.report.engine.staged_posts = es.staged_posts;
     const std::uint64_t rounds = es.windows + es.equal_time_rounds;
     out.report.engine.events_per_window =
         rounds > 0 ? static_cast<double>(es.events) / static_cast<double>(rounds) : 0.0;
@@ -610,8 +604,6 @@ ExperimentOutputs run_experiment_detailed(const ExperimentConfig& config) {
         rec.active_domains = static_cast<int>(w.active_domains);
         rec.events = w.events;
         rec.inner_rounds = w.inner_rounds;
-        rec.speculated = w.speculated;
-        rec.rolled_back = w.rolled_back;
         rec.equal_time = w.equal_time;
         chrome->add_engine_window(rec);
       }

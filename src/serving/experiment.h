@@ -94,16 +94,6 @@ struct ExperimentConfig {
   // 1 + however many idle threads the process-global pool can lend
   // (serving/sweep.cpp), degrading to serial only under full fan-out.
   int engine_threads = 1;
-
-  // Optimistic (speculative) execution budget for the partitioned
-  // engine: 0 = off (pure conservative windows), N = a checkpointable
-  // domain may run up to N events past its conservative horizon and
-  // commit or roll back at a later barrier (sim/parallel_engine.h).
-  // Committed results are bit-identical to speculation=0 at any
-  // setting; the knob only trades rollback risk against window count.
-  // Domains without checkpoint hooks (the coroutine-backed runtime
-  // cells) always run conservatively regardless of this value.
-  std::uint64_t speculation = 0;
 };
 
 // Runs one serving experiment to completion (deterministic).

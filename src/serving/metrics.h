@@ -114,13 +114,6 @@ struct Report {
     std::uint64_t posts_routed = 0;
     std::uint64_t mailbox_spills = 0;
     std::uint64_t barrier_wait_ns = 0;
-    // Optimistic execution (all-zero with speculation off or no
-    // checkpointable domain). `events` above counts committed work
-    // only, so it matches the conservative run bit-for-bit.
-    std::uint64_t speculated = 0;    // events executed speculatively
-    std::uint64_t committed = 0;     // speculated events that committed
-    std::uint64_t rolled_back = 0;   // speculated events undone
-    std::uint64_t staged_posts = 0;  // cross posts staged by speculation
     double events_per_window = 0.0;  // events / (windows + equal-time rounds)
   };
   EngineStats engine;

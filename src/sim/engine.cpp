@@ -196,7 +196,6 @@ Engine::EventId Engine::schedule_at(SimTime t, Callback cb) {
   heap_.emplace_back();
   sift_up(heap_.size() - 1, HeapEntry{(seq << kSlotBits) | slot, t});
   ++live_;
-  if (spec_executing_) spec_spawns_.push_back(SpecSpawn{EventId{s.gen, slot}, seq, t});
   return EventId{s.gen, slot};
 }
 
@@ -209,17 +208,6 @@ bool Engine::cancel(EventId id) {
   if (!id.valid() || id.slot >= slots_.size()) return false;
   Slot& s = slots_[id.slot];
   if (s.seq == 0 || s.gen != id.gen) return false;  // fired, cancelled, or recycled
-  if (spec_executing_ || !spec_log_.empty()) {
-    // Deferred (reversible) cancel: the slot and its queue entry stay
-    // live so a rollback restores the event for free; the speculative
-    // run loop refuses to execute a suppressed seq, and commit does
-    // the real release. Observable behaviour matches the conservative
-    // engine: the event never fires, and a second cancel of the same
-    // id returns false.
-    if (spec_cancelled(s.seq)) return false;
-    spec_cancels_.push_back(SpecCancel{id.slot, s.seq});
-    return true;
-  }
   release_slot(id.slot);  // heap entry goes stale; discarded lazily
   ++dead_;
   // Keep tombstones a bounded fraction of the heap so cancel-heavy
@@ -361,164 +349,6 @@ std::uint64_t Engine::run_at_time(SimTime t, SimTime* next_out) {
     ++n;
   }
   if (next_out != nullptr) *next_out = remaining;
-  return n;
-}
-
-// ---- Optimistic (speculative) execution -----------------------------
-
-void Engine::set_checkpoint_hooks(std::function<void()> save, std::function<void()> restore) {
-  spec_save_ = std::move(save);
-  spec_restore_ = std::move(restore);
-  checkpointable_ = true;
-}
-
-SimTime Engine::horizon_time() {
-  const SimTime next = next_event_time();
-  if (spec_log_.empty()) return next;
-  const SimTime floor = spec_log_.front().time;
-  // An open episode's floor is never above the queue front: everything
-  // the episode executed was earlier than what it left pending.
-  return (next == kNoEvent || floor < next) ? floor : next;
-}
-
-bool Engine::spec_cancelled(std::uint64_t seq) const {
-  for (const SpecCancel& c : spec_cancels_) {
-    if (c.seq == seq) return true;
-  }
-  return false;
-}
-
-bool Engine::spec_straggler(SimTime t) const {
-  if (spec_log_.empty()) return false;
-  if (t < spec_log_.back().time) return true;
-  for (const SpecSpawn& sp : spec_spawns_) {
-    if (sp.time != t || sp.id.slot >= slots_.size()) continue;
-    const Slot& s = slots_[sp.id.slot];
-    if (s.gen == sp.id.gen && s.seq == sp.seq) return true;
-  }
-  return false;
-}
-
-std::uint64_t Engine::run_speculative(std::uint64_t budget) {
-  if (!checkpointable_ || spec_executing_) return 0;
-  std::uint64_t n = 0;
-  while (spec_log_.size() < budget) {
-    settle_fronts();
-    const bool have_run = run_cursor_ < run_.size();
-    bool from_run;
-    if (have_run && (heap_.empty() || run_[run_cursor_] < heap_.front())) {
-      from_run = true;
-    } else if (!heap_.empty()) {
-      from_run = false;
-    } else {
-      break;
-    }
-    HeapEntry e = from_run ? run_[run_cursor_] : heap_.front();
-    // A deferred cancel pins the queue here: the suppressed event must
-    // neither fire nor be popped (rollback would have to resurrect its
-    // queue entry). Speculation resumes once the episode resolves.
-    if (spec_cancelled(e.seq())) break;
-    if (spec_log_.empty()) {
-      // Episode opens at the conservative frontier: snapshot what
-      // rollback must restore, then let the model snapshot itself.
-      spec_base_now_ = now_;
-      spec_base_processed_ = processed_;
-      spec_base_last_seq_ = last_seq_;
-      if (spec_save_) spec_save_();
-    }
-    if (from_run) {
-      ++run_cursor_;
-    } else {
-      const HeapEntry tail = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) sift_down(0, tail);
-    }
-    assert(e.time >= now_);
-    now_ = e.time;
-    last_seq_ = e.seq();
-    ++processed_;
-    Slot& s = slots_[e.slot()];
-    s.seq = 0;  // no longer pending: cancel(id) now correctly fails
-    --live_;
-    Callback cb = std::move(s.cb);
-    spec_executing_ = true;
-    cb();
-    spec_executing_ = false;
-    // Re-index: the callback may have grown slots_. The slot keeps its
-    // callback (and generation) so rollback can re-queue the event.
-    slots_[e.slot()].cb = std::move(cb);
-    spec_log_.push_back(SpecEntry{e.time, e.packed,
-                                  static_cast<std::uint32_t>(spec_spawns_.size()),
-                                  static_cast<std::uint32_t>(spec_cancels_.size())});
-    ++n;
-  }
-  return n;
-}
-
-std::uint64_t Engine::spec_commit_all() {
-  const std::uint64_t n = spec_log_.size();
-  if (n == 0) return 0;
-  for (const SpecEntry& entry : spec_log_) {
-    // Finalize the executed slot: seq is already 0 and live_ already
-    // decremented at speculative execution, so this is release_slot
-    // minus the live_ bookkeeping.
-    const auto slot = static_cast<std::uint32_t>(entry.packed & kSlotMask);
-    Slot& s = slots_[slot];
-    s.cb.reset();
-    ++s.gen;
-    s.next_free = free_head_;
-    free_head_ = slot;
-  }
-  for (const SpecCancel& c : spec_cancels_) {
-    Slot& s = slots_[c.slot];
-    if (s.seq == c.seq) {  // not since released by a spawn-undo path
-      release_slot(c.slot);
-      ++dead_;
-    }
-  }
-  spec_log_.clear();
-  spec_spawns_.clear();
-  spec_cancels_.clear();
-  if (dead_ > 64 && dead_ > live_) compact();
-  return n;
-}
-
-std::uint64_t Engine::spec_rollback() {
-  const std::uint64_t n = spec_log_.size();
-  if (n == 0) return 0;
-  // Undo in reverse execution order so an event that was spawned *and*
-  // executed within the episode is first re-queued (its own entry's
-  // undo) and then cancelled (its creator's spawn undo).
-  for (std::size_t i = spec_log_.size(); i-- > 0;) {
-    const SpecEntry& entry = spec_log_[i];
-    const std::uint32_t spawn_begin = i == 0 ? 0 : spec_log_[i - 1].spawn_end;
-    for (std::uint32_t j = entry.spawn_end; j-- > spawn_begin;) {
-      const SpecSpawn& sp = spec_spawns_[j];
-      Slot& s = slots_[sp.id.slot];
-      if (s.gen == sp.id.gen && s.seq == sp.seq) {
-        release_slot(sp.id.slot);  // the spawn never happened
-        ++dead_;
-      }
-    }
-    // Re-queue the event itself under its original slot/seq/time; the
-    // slot still holds the callback and its generation, so EventIds
-    // the model took out before the episode stay valid.
-    const auto slot = static_cast<std::uint32_t>(entry.packed & kSlotMask);
-    slots_[slot].seq = entry.packed >> kSlotBits;
-    heap_.emplace_back();
-    sift_up(heap_.size() - 1, HeapEntry{entry.packed, entry.time});
-    ++live_;
-  }
-  // Deferred cancels: the slots were never touched, so forgetting the
-  // suppression records restores the events.
-  spec_log_.clear();
-  spec_spawns_.clear();
-  spec_cancels_.clear();
-  now_ = spec_base_now_;
-  processed_ = spec_base_processed_;
-  last_seq_ = spec_base_last_seq_;
-  if (spec_restore_) spec_restore_();
-  if (dead_ > 64 && dead_ > live_) compact();
   return n;
 }
 

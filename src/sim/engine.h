@@ -39,7 +39,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -147,76 +146,6 @@ class Engine {
   // Partition tag (domain index, or -1 when unpartitioned).
   int domain_id() const { return domain_id_; }
 
-  // ---- Optimistic (speculative) execution ---------------------------
-  // A partitioned domain may execute past its conservative bound in an
-  // all-or-nothing *episode*: events run in (time, seq) order with
-  // their slots retained and every effect logged, and at a later
-  // window the episode either commits wholesale (slots finalized,
-  // staged cross posts published by the ParallelEngine) or rolls back
-  // (every event re-queued under its original slot/seq, spawns
-  // cancelled, deferred cancels forgotten, clock and counters restored
-  // to the episode base, then the model restore hook runs). Committed
-  // event streams are bit-identical to a never-speculated run.
-  //
-  // Speculation is opt-in per engine: a model registers checkpoint
-  // hooks describing how to snapshot and restore its own state (pass
-  // empty functions when all state lives in the event queue). Models
-  // whose state cannot be checkpointed — e.g. coroutine frames — simply
-  // never call this and always run conservatively.
-
-  // Enables speculation for this engine. `save` is called once when an
-  // episode opens (snapshot model state at the conservative frontier);
-  // `restore` on rollback. Callbacks executed speculatively re-run
-  // from their retained slots after a rollback, so they must not
-  // assume at-most-once side effects outside engine/model state.
-  void set_checkpoint_hooks(std::function<void()> save, std::function<void()> restore);
-  bool checkpointable() const { return checkpointable_; }
-
-  // True while a speculatively executed callback is on the stack (the
-  // ParallelEngine stages, rather than publishes, cross posts made in
-  // this state).
-  bool spec_executing() const { return spec_executing_; }
-
-  // Number of uncommitted speculatively executed events (0 = no open
-  // episode).
-  std::size_t spec_open() const { return spec_log_.size(); }
-
-  // Earliest / latest uncommitted speculated event time (kNoEvent when
-  // no episode is open). The floor is the horizon a speculating domain
-  // keeps publishing: peers' bounds never assume the domain advanced,
-  // which is what makes rollback purely local (no anti-messages).
-  SimTime spec_floor() const { return spec_log_.empty() ? kNoEvent : spec_log_.front().time; }
-  SimTime spec_tail() const { return spec_log_.empty() ? kNoEvent : spec_log_.back().time; }
-
-  // next_event_time() folded with spec_floor(): the horizon to publish.
-  SimTime horizon_time();
-
-  // True when mail arriving at time `t` invalidates the open episode:
-  // t is below the speculated tail (the domain already executed past
-  // it), or t ties the timestamp of a still-pending event spawned by
-  // an uncommitted speculated event (the spawn's seq — assigned early
-  // under speculation — would flip FIFO order against the mail).
-  bool spec_straggler(SimTime t) const;
-
-  // Executes up to `budget - spec_open()` further events
-  // speculatively, opening an episode (base snapshot + save hook) if
-  // none is open. Returns the number executed. No-op unless
-  // checkpointable.
-  std::uint64_t run_speculative(std::uint64_t budget);
-
-  // Commits the open episode: finalizes executed slots and deferred
-  // cancels, clears the log. Returns the number of events committed.
-  // Caller contract (ParallelEngine): only when the conservative bound
-  // has passed spec_tail(), i.e. no future mail can undercut or tie
-  // the episode.
-  std::uint64_t spec_commit_all();
-
-  // Discards the open episode: re-queues every speculated event under
-  // its original slot/seq/time, cancels their spawns, restores
-  // deferred-cancelled events, resets clock/counters to the episode
-  // base and invokes the restore hook. Returns events rolled back.
-  std::uint64_t spec_rollback();
-
   bool empty() const { return live_ == 0; }
   std::size_t pending() const { return live_; }
   std::uint64_t events_processed() const { return processed_; }
@@ -295,32 +224,6 @@ class Engine {
   // rebuilds the heap, O(pending).
   void compact();
 
-  // ---- Speculation bookkeeping --------------------------------------
-  // One entry per speculatively executed event. The slot keeps its
-  // callback (seq zeroed so cancel() sees it as fired); spawn_end /
-  // cancel_end are exclusive cursors into the side vectors, so entry
-  // i's effects live in [entry[i-1].*_end, entry[i].*_end).
-  struct SpecEntry {
-    SimTime time;
-    std::uint64_t packed;  // original (seq << kSlotBits) | slot
-    std::uint32_t spawn_end;
-    std::uint32_t cancel_end;
-  };
-  struct SpecSpawn {
-    EventId id;
-    std::uint64_t seq;
-    SimTime time;
-  };
-  // A cancel() issued during speculation is deferred: the target slot
-  // and its queue entry stay fully live (so rollback is free); the
-  // speculative run loop refuses to execute a suppressed seq, and
-  // commit performs the real release.
-  struct SpecCancel {
-    std::uint32_t slot;
-    std::uint64_t seq;
-  };
-  bool spec_cancelled(std::uint64_t seq) const;
-
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
@@ -332,20 +235,6 @@ class Engine {
   std::vector<Slot> slots_;
   std::vector<HeapEntry> run_;   // sorted ascending, drained by cursor
   std::vector<HeapEntry> heap_;  // 4-ary min-heap of recent schedules
-
-  // Speculation state (cold: empty unless a model opted in and the
-  // partitioned run enabled a budget).
-  bool checkpointable_ = false;
-  bool spec_executing_ = false;
-  std::vector<SpecEntry> spec_log_;
-  std::vector<SpecSpawn> spec_spawns_;
-  std::vector<SpecCancel> spec_cancels_;
-  std::function<void()> spec_save_;
-  std::function<void()> spec_restore_;
-  // Committed-through snapshot taken when an episode opens.
-  SimTime spec_base_now_ = 0;
-  std::uint64_t spec_base_processed_ = 0;
-  std::uint64_t spec_base_last_seq_ = 0;
 
   // Set (only) by a ParallelEngine that owns this engine as a domain.
   friend class ParallelEngine;

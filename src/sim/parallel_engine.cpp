@@ -180,12 +180,6 @@ ParallelEngine::ParallelEngine(int num_domains, Options options)
       executed_(static_cast<std::size_t>(num_domains)),
       routed_posts_(static_cast<std::size_t>(num_domains)),
       cross_routed_(static_cast<std::size_t>(num_domains)),
-      spec_budget_(options.speculation_budget),
-      staged_(static_cast<std::size_t>(num_domains)),
-      spec_executed_(static_cast<std::size_t>(num_domains)),
-      spec_committed_(static_cast<std::size_t>(num_domains)),
-      spec_rolled_(static_cast<std::size_t>(num_domains)),
-      spec_staged_(static_cast<std::size_t>(num_domains)),
       bounds_(static_cast<std::size_t>(num_domains), 0),
       pending_from_(num_domains <= 64 ? static_cast<std::size_t>(num_domains) : 0) {
   if (num_domains < 1) invariant_failed("at least one domain required");
@@ -271,21 +265,10 @@ void ParallelEngine::post(int dst, SimTime t, Engine::Callback cb) {
     engines_[static_cast<std::size_t>(src)]->schedule_at(t, std::move(cb));
     return;
   }
-  // The windows are only safe if every cross-domain event honours its
-  // pairwise lookahead claim — speculative sends included (the sender's
-  // clock is the speculated time, the same clock a conservative
-  // execution of that event would have used).
+  // The conservative windows are only safe if every cross-domain event
+  // honours its pairwise lookahead claim.
   if (t < engines_[static_cast<std::size_t>(src)]->now() + lookahead_.get(src, dst)) {
     invariant_failed("cross-domain post violates its lookahead claim");
-  }
-  if (engines_[static_cast<std::size_t>(src)]->spec_executing()) {
-    // Speculative sends stay home: held in the source's staging buffer
-    // until the episode commits (published in order then) or rolls
-    // back (discarded — which is why no anti-messages are needed).
-    ++spec_staged_[static_cast<std::size_t>(src)].n;
-    staged_[static_cast<std::size_t>(src)].push_back(
-        StagedPost{dst, t, std::move(cb)});
-    return;
   }
   ++routed_posts_[static_cast<std::size_t>(src)].n;
   // Intra-group posts merge at the sender's own inner barrier; only
@@ -325,110 +308,18 @@ void ParallelEngine::post_after(int dst, SimTime dt, Engine::Callback cb) {
   post(dst, base + dt, std::move(cb));
 }
 
-SimTime ParallelEngine::spec_commit_bound(int d) const {
-  SimTime bound = EventHorizon::kInfinity;
-  const int n = num_domains();
-  for (int s = 0; s < n; ++s) {
-    if (s == d) continue;
-    const SimTime reach = EventHorizon::saturating_add(
-        spec_horizons_[static_cast<std::size_t>(s)], spec_closed_.get(s, d));
-    if (reach < bound) bound = reach;
-  }
-  // Committing publishes the staged posts, and their receivers may
-  // answer: any committed event at or above a staged post's reply
-  // reach could still be undercut, which rollback could no longer fix
-  // (the posts would already be out). The staged posts therefore bound
-  // their own episode's commit.
-  for (const StagedPost& p : staged_[static_cast<std::size_t>(d)]) {
-    const SimTime reach =
-        EventHorizon::saturating_add(p.time, spec_closed_.get(p.dst, d));
-    if (reach < bound) bound = reach;
-  }
-  return bound;
-}
-
-void ParallelEngine::resolve_speculation(int d, SimTime bound, bool equal_time) {
-  Engine& e = *engines_[static_cast<std::size_t>(d)];
-  const SimTime tail = e.spec_tail();
-  if (tail < spec_commit_bound(d)) {
-    // The commit bound clears the whole episode: no mail at or below
-    // the speculated work can ever arrive, so the speculation was
-    // exactly the execution conservative windows would have performed.
-    const std::uint64_t n = e.spec_commit_all();
-    spec_committed_[static_cast<std::size_t>(d)].n += n;
-    executed_[static_cast<std::size_t>(d)].n += n;  // committed work only
-    publish_staged(d);
-    return;
-  }
-  const SimTime floor = e.spec_floor();
-  const bool touched = equal_time ? floor <= bound : floor < bound;
-  if (!touched) {
-    // The window stops short of the episode. Keeping it open is safe:
-    // everything still pending in the engine — the suppressed front of
-    // a deferred cancel included — sits at or above the episode tail,
-    // which is at or above the floor, so the conservative pass below
-    // this bound executes nothing.
-    return;
-  }
-  // The window reaches into an episode that cannot commit yet; partial
-  // commits would need a mid-episode model checkpoint, so resolve
-  // all-or-nothing and let the window re-execute the prefix
-  // conservatively.
-  rollback_domain(d);
-}
-
-void ParallelEngine::publish_staged(int d) {
-  auto& staged = staged_[static_cast<std::size_t>(d)];
-  if (staged.empty()) return;
-  const int my_group = group_of_[static_cast<std::size_t>(d)];
-  for (StagedPost& p : staged) {
-    // Same pushes, same order, same counters as a conservative post()
-    // — the claim was already checked at stage time, against the same
-    // sender clock.
-    ++routed_posts_[static_cast<std::size_t>(d)].n;
-    if (my_group == group_of_[static_cast<std::size_t>(p.dst)]) {
-      ++groups_[static_cast<std::size_t>(my_group)].intra_routed;
-    } else {
-      ++cross_routed_[static_cast<std::size_t>(d)].n;
-    }
-    mailbox(d, p.dst).push(p.time, std::move(p.cb));
-    if (!pending_from_.empty()) {
-      pending_from_[static_cast<std::size_t>(p.dst)].v.fetch_or(
-          std::uint64_t{1} << static_cast<unsigned>(d), std::memory_order_release);
-    }
-  }
-  staged.clear();
-}
-
-void ParallelEngine::rollback_domain(int d) {
-  Engine& e = *engines_[static_cast<std::size_t>(d)];
-  const std::uint64_t n = e.spec_rollback();
-  spec_rolled_[static_cast<std::size_t>(d)].n += n;
-  staged_[static_cast<std::size_t>(d)].clear();
-  dirty_[static_cast<std::size_t>(d)] = 1;
-}
-
 void ParallelEngine::run_window(int d, SimTime bound, bool equal_time) {
   tls_domain = d;
   Engine& e = *engines_[static_cast<std::size_t>(d)];
-  if (e.spec_open() != 0) resolve_speculation(d, bound, equal_time);
   SimTime next;
   executed_[static_cast<std::size_t>(d)].n +=
       equal_time ? e.run_at_time(bound, &next) : e.run_before(bound, &next);
-  if (spec_budget_ != 0 && e.checkpointable()) {
-    spec_executed_[static_cast<std::size_t>(d)].n += e.run_speculative(spec_budget_);
-    next = e.next_event_time();
-  }
   tls_domain = -1;
   // Fused horizon publication: the run loop already peeked the entry
-  // that broke the window, so store the horizon now (folded with the
-  // episode floor — a speculating domain never promises more than its
-  // earliest uncommitted event) and spare the coordinator's publish
-  // pass its settle-and-peek. Mail arriving at a later drain re-marks
+  // that broke the window, so store the horizon now and spare the
+  // coordinator's publish pass its settle-and-peek. Mail arriving at a later drain re-marks
   // the domain dirty; moved_ tells the publish pass the value changed
   // so the bound closure still recomputes.
-  const SimTime floor = e.spec_floor();
-  if (floor != Engine::kNoEvent && (next == Engine::kNoEvent || floor < next)) next = floor;
   const SimTime h = (next == Engine::kNoEvent) ? EventHorizon::kInfinity : next;
   if (h != prev_horizons_[static_cast<std::size_t>(d)]) {
     prev_horizons_[static_cast<std::size_t>(d)] = h;
@@ -454,12 +345,6 @@ void ParallelEngine::drain_mailboxes() {
       if (masked && !(mask >> static_cast<unsigned>(src) & 1u)) continue;
       SpscMailbox& box = mailbox(src, dst);
       while (box.pop(entry)) {
-        // A straggler (or a seq-order tie with uncommitted speculated
-        // work) invalidates the receiver's open episode — roll it back
-        // before the mail lands, and the window re-executes both.
-        if (target.spec_open() != 0 && target.spec_straggler(entry.time)) {
-          rollback_domain(dst);
-        }
         target.schedule_at(entry.time, std::move(entry.cb));
         if (!dirty_.empty()) dirty_[static_cast<std::size_t>(dst)] = 1;
       }
@@ -475,9 +360,6 @@ void ParallelEngine::drain_group(GroupState& gs) {
       if (src == dst) continue;
       SpscMailbox& box = mailbox(src, dst);
       while (box.pop(entry)) {
-        if (target.spec_open() != 0 && target.spec_straggler(entry.time)) {
-          rollback_domain(dst);
-        }
         target.schedule_at(entry.time, std::move(entry.cb));
         dirty_[static_cast<std::size_t>(dst)] = 1;
       }
@@ -530,7 +412,7 @@ void ParallelEngine::run_superstep(int g, SimTime outer_bound) {
       SimTime h = prev_horizons_[dm];
       if (dirty_[dm]) {
         dirty_[dm] = 0;
-        const SimTime t = engines_[dm]->horizon_time();
+        const SimTime t = engines_[dm]->next_event_time();
         h = (t == Engine::kNoEvent) ? EventHorizon::kInfinity : t;
         if (h != prev_horizons_[dm]) {
           prev_horizons_[dm] = h;
@@ -600,18 +482,6 @@ std::uint64_t ParallelEngine::total_inner_rounds() const {
   return total;
 }
 
-std::uint64_t ParallelEngine::total_speculated() const {
-  std::uint64_t total = 0;
-  for (const auto& c : spec_executed_) total += c.n;
-  return total;
-}
-
-std::uint64_t ParallelEngine::total_spec_rolled() const {
-  std::uint64_t total = 0;
-  for (const auto& c : spec_rolled_) total += c.n;
-  return total;
-}
-
 std::uint64_t ParallelEngine::run(unsigned threads) {
   if (running_) invariant_failed("run() is not reentrant");
   running_ = true;
@@ -667,14 +537,6 @@ std::uint64_t ParallelEngine::run(unsigned threads) {
     }
   }
   const LookaheadMatrix closed = group_lookahead.closed_bound_matrix();
-  if (spec_budget_ != 0) {
-    // Episode commits are judged at domain granularity (the group
-    // matrix folds a domain's own floor echo into its group), so the
-    // speculation path keeps its own flat closed matrix plus a
-    // round-start horizon snapshot (filled by the publish pass).
-    spec_closed_ = lookahead_.closed_bound_matrix();
-    spec_horizons_.assign(static_cast<std::size_t>(n), EventHorizon::kInfinity);
-  }
   for (auto& gs : groups_) {
     const std::size_t m = gs.members.size();
     gs.h.assign(m, 0);
@@ -704,10 +566,10 @@ std::uint64_t ParallelEngine::run(unsigned threads) {
   for (;;) {
     // 1. Publish horizons into the coordinator's arrays, once per round
     // (not per event); group horizons are the min over members. Windows
-    // store their own closing horizon (run_window's fused peek, floors
-    // of open episodes folded in), so the pass only re-peeks domains
-    // that received mail since — the dirty ones — and learns about
-    // window-driven changes from the moved_ flags.
+    // store their own closing horizon (run_window's fused peek), so the
+    // pass only re-peeks domains that received mail since — the dirty
+    // ones — and learns about window-driven changes from the moved_
+    // flags.
     SimTime min_next = EventHorizon::kInfinity;
     bool moved = false;
     std::fill(group_horizons_.begin(), group_horizons_.end(), EventHorizon::kInfinity);
@@ -715,7 +577,7 @@ std::uint64_t ParallelEngine::run(unsigned threads) {
       SimTime h = prev_horizons_[static_cast<std::size_t>(d)];
       if (dirty_[static_cast<std::size_t>(d)]) {
         dirty_[static_cast<std::size_t>(d)] = 0;
-        const SimTime t = engines_[static_cast<std::size_t>(d)]->horizon_time();
+        const SimTime t = engines_[static_cast<std::size_t>(d)]->next_event_time();
         h = (t == Engine::kNoEvent) ? EventHorizon::kInfinity : t;
         if (h != prev_horizons_[static_cast<std::size_t>(d)]) {
           prev_horizons_[static_cast<std::size_t>(d)] = h;
@@ -731,12 +593,6 @@ std::uint64_t ParallelEngine::run(unsigned threads) {
       gh = std::min(gh, h);
     }
     if (min_next == EventHorizon::kInfinity) break;  // all queues drained
-    // Round-start snapshot for spec_commit_bound: taken before any
-    // window runs, so workers resolving episodes read stable values.
-    // Horizons that advance mid-round only widen the true bound, so
-    // the snapshot is conservative for the whole round.
-    if (spec_budget_ != 0) spec_horizons_ = prev_horizons_;
-
     // 2. Conservative bounds from the *effective* horizons — the
     // min-plus closure that accounts for idle domains being
     // re-activated by peers (an empty queue is not an infinite
@@ -784,10 +640,6 @@ std::uint64_t ParallelEngine::run(unsigned threads) {
         window_log_ != nullptr ? total_executed() : 0;
     const std::uint64_t inner_before =
         window_log_ != nullptr ? total_inner_rounds() : 0;
-    const std::uint64_t spec_before =
-        window_log_ != nullptr ? total_speculated() : 0;
-    const std::uint64_t rolled_before =
-        window_log_ != nullptr ? total_spec_rolled() : 0;
 
     // Windows maintain the published horizons themselves (fused store
     // in run_window + moved_ flags), so nothing is re-marked dirty
@@ -830,10 +682,6 @@ std::uint64_t ParallelEngine::run(unsigned threads) {
       ++stats_.drain_skips;
     }
 
-    // The record is written after the barrier drain so that rollbacks
-    // the drain triggered (a straggler arriving against an open
-    // episode) land in the round that caused them — window sums then
-    // reconcile exactly with the aggregate counters.
     if (window_log_ != nullptr) {
       WindowRecord rec;
       rec.start = EventHorizon::kInfinity;
@@ -850,21 +698,8 @@ std::uint64_t ParallelEngine::run(unsigned threads) {
       }
       rec.events = static_cast<std::uint32_t>(total_executed() - executed_before);
       rec.inner_rounds = static_cast<std::uint32_t>(total_inner_rounds() - inner_before);
-      rec.speculated = static_cast<std::uint32_t>(total_speculated() - spec_before);
-      rec.rolled_back = static_cast<std::uint32_t>(total_spec_rolled() - rolled_before);
       rec.equal_time = equal_time;
       window_log_->push_back(rec);
-    }
-  }
-
-  // A drained run must have resolved every episode: the published
-  // floors keep any open episode's group schedulable, so reaching the
-  // all-infinite horizon with speculation outstanding means the pacing
-  // logic is broken — fail loudly rather than drop staged work.
-  for (int d = 0; d < n; ++d) {
-    if (engines_[static_cast<std::size_t>(d)]->spec_open() != 0 ||
-        !staged_[static_cast<std::size_t>(d)].empty()) {
-      invariant_failed("run() drained with an unresolved speculative episode");
     }
   }
 
@@ -874,17 +709,9 @@ std::uint64_t ParallelEngine::run(unsigned threads) {
   stats_.mailbox_spills = 0;
   stats_.inner_windows = 0;
   stats_.inner_equal_time_rounds = 0;
-  stats_.speculated = 0;
-  stats_.committed = 0;
-  stats_.rolled_back = 0;
-  stats_.staged_posts = 0;
   for (int d = 0; d < n; ++d) {
     stats_.events += executed_[static_cast<std::size_t>(d)].n;
     stats_.posts_routed += routed_posts_[static_cast<std::size_t>(d)].n;
-    stats_.speculated += spec_executed_[static_cast<std::size_t>(d)].n;
-    stats_.committed += spec_committed_[static_cast<std::size_t>(d)].n;
-    stats_.rolled_back += spec_rolled_[static_cast<std::size_t>(d)].n;
-    stats_.staged_posts += spec_staged_[static_cast<std::size_t>(d)].n;
   }
   for (const auto& gs : groups_) {
     stats_.inner_windows += gs.inner_windows;
@@ -905,10 +732,7 @@ SimTime ParallelEngine::now() const {
 
 bool ParallelEngine::empty() const {
   for (const auto& e : engines_) {
-    if (!e->empty() || e->spec_open() != 0) return false;
-  }
-  for (const auto& s : staged_) {
-    if (!s.empty()) return false;
+    if (!e->empty()) return false;
   }
   for (const auto& box : mailboxes_) {
     if (box && !box->empty()) return false;

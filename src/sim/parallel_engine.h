@@ -55,23 +55,6 @@
 // re-enter by the group self-echo in the outer matrix. With singleton
 // groups (the default) the loop degenerates to the flat algorithm
 // bit-for-bit.
-//
-// Optimistic windows (Options::speculation_budget > 0): a domain whose
-// engine registered checkpoint hooks may keep executing past its
-// conservative bound in an all-or-nothing episode — engine state is
-// checkpointed, outgoing cross posts are staged instead of published,
-// and the domain keeps publishing the episode *floor* as its horizon
-// so peers' bounds never assume it advanced. At a later window the
-// episode commits wholesale (its commit bound — peers' horizons plus
-// the reply reach of its staged posts, never its own floor echo —
-// cleared its tail: staged posts publish in the usual (dst, src, FIFO)
-// order and the committed run is bit-identical to a conservative one)
-// or rolls back (a straggler or seq-order tie arrived below the
-// speculated work, or the window reached into an uncommittable
-// episode) and the events re-execute conservatively. Pure
-// rollback, no anti-messages: uncommitted posts never leave the
-// source. Domains without hooks — e.g. those owning coroutine frames —
-// never speculate and are never rolled back.
 #pragma once
 
 #include <atomic>
@@ -92,16 +75,6 @@ class ParallelEngine {
     // Per-(src,dst) mailbox ring capacity; overflow spills (see
     // sim/mailbox.h) so this is a performance knob, not a limit.
     std::size_t mailbox_capacity = 1024;
-    // Optimistic execution: maximum uncommitted speculated events per
-    // domain episode (0 = conservative windows only). Only domains
-    // whose engine registered checkpoint hooks
-    // (Engine::set_checkpoint_hooks) ever speculate; everyone else
-    // runs conservatively regardless of the budget. An episode either
-    // commits wholesale at the first window whose commit bound —
-    // peers' horizons plus the reply reach of its own staged posts —
-    // clears its tail, or rolls back — keep the budget within a few
-    // typical window widths so episodes resolve quickly.
-    std::uint64_t speculation_budget = 0;
   };
 
   struct Stats {
@@ -118,15 +91,6 @@ class ParallelEngine {
                                           // coordinator and every worker
     std::uint64_t drain_skips = 0;        // barrier drains skipped (no posts)
     std::uint64_t horizon_skips = 0;      // closure recomputes skipped
-    // Optimistic execution (zero when speculation_budget == 0 or no
-    // domain is checkpointable). `events` counts committed work only —
-    // identical to a conservative run — while `speculated` counts
-    // every speculative execution and splits into committed +
-    // rolled_back once each episode resolves.
-    std::uint64_t speculated = 0;         // events executed speculatively
-    std::uint64_t committed = 0;          // speculated events that committed
-    std::uint64_t rolled_back = 0;        // speculated events undone
-    std::uint64_t staged_posts = 0;       // cross posts staged by speculation
   };
 
   // One entry per synchronization round, recorded only when a log is
@@ -139,8 +103,6 @@ class ParallelEngine {
     std::uint32_t active_domains = 0;  // active groups for superstep rounds
     std::uint32_t events = 0;
     std::uint32_t inner_rounds = 0;  // inner rounds the supersteps ran
-    std::uint32_t speculated = 0;    // events executed speculatively this round
-    std::uint32_t rolled_back = 0;   // speculated events undone this round
     bool equal_time = false;
   };
 
@@ -255,35 +217,6 @@ class ParallelEngine {
   void run_superstep(int g, SimTime outer_bound);
   void default_groups();
 
-  // ---- Optimistic execution ----------------------------------------
-  // Resolves domain d's open episode against a window bounded by
-  // `bound` (inclusive for equal-time rounds): commit wholesale when
-  // the episode's commit bound clears its tail — no future mail can
-  // undercut or tie it, so the staged posts publish and the committed
-  // stream is bit-identical to a conservative run. Otherwise, if the
-  // window reaches into the episode, roll back and let the window
-  // re-execute the prefix conservatively; if it stops short, keep the
-  // episode open (everything uncommitted is above the bound, so the
-  // conservative pass below executes nothing). Runs on the worker that
-  // owns d's window; rollbacks triggered by mail run at barriers.
-  void resolve_speculation(int d, SimTime bound, bool equal_time);
-  // Episode commit bound for domain d: the earliest timestamp any
-  // future cross event could still deliver into d. Two influence
-  // sources: every *other* domain's round-start horizon pushed through
-  // the domain-level closed lookahead matrix, and — because committing
-  // publishes them — the reply reach of d's own staged posts. The
-  // window bound is deliberately not used here: its closure folds in
-  // d's own published floor (the self-echo), which trails the episode
-  // forever and would make any episode longer than the self-cycle
-  // lookahead permanently uncommittable.
-  SimTime spec_commit_bound(int d) const;
-  // Publishes domain d's staged posts into the mailboxes in FIFO
-  // order — the same pushes, in the same order, that a conservative
-  // execution of the committed events would have made.
-  void publish_staged(int d);
-  // Rolls back domain d's open episode and discards its staged posts.
-  void rollback_domain(int d);
-
   std::vector<std::unique_ptr<Engine>> engines_;
   std::vector<std::unique_ptr<SpscMailbox>> mailboxes_;  // src-major [src][dst]
   LookaheadMatrix lookahead_;
@@ -295,34 +228,6 @@ class ParallelEngine {
   std::vector<DomainCounter> executed_;      // per-domain, written inside windows
   std::vector<DomainCounter> routed_posts_;  // per-source, written inside windows
   std::vector<DomainCounter> cross_routed_;  // per-source, cross-group only
-
-  // Cross posts made while the source domain executes speculatively,
-  // held back until its episode commits and discarded on rollback —
-  // uncommitted effects never leave the domain, which is why the
-  // scheme needs no anti-messages. Per source; published FIFO.
-  struct StagedPost {
-    int dst;
-    SimTime time;
-    Engine::Callback cb;
-  };
-  std::uint64_t spec_budget_ = 0;  // Options::speculation_budget
-  std::vector<std::vector<StagedPost>> staged_;
-  std::vector<DomainCounter> spec_executed_;  // per-domain speculative runs
-  std::vector<DomainCounter> spec_committed_;
-  std::vector<DomainCounter> spec_rolled_;
-  std::vector<DomainCounter> spec_staged_;
-  std::uint64_t total_speculated() const;
-  std::uint64_t total_spec_rolled() const;
-  // Domain-level closed bound matrix and the coordinator's round-start
-  // horizon snapshot, both read by spec_commit_bound on worker
-  // threads. The snapshot is written only in the publish pass — before
-  // any window of the round runs — so worker reads race with nothing,
-  // and round-start values are conservative for the whole round (a
-  // domain's future mail can only carry timestamps at or above its
-  // round-start horizon plus the closed lookahead). Sized only when
-  // speculation is enabled.
-  LookaheadMatrix spec_closed_{0};
-  std::vector<SimTime> spec_horizons_;
 
   Stats stats_;
   bool running_ = false;

@@ -109,8 +109,6 @@ void ChromeTraceSink::write_json(std::ostream& out) const {
     w.kv("domains", rec.active_domains);
     w.kv("events", static_cast<double>(rec.events));
     if (rec.inner_rounds > 0) w.kv("inner_rounds", static_cast<double>(rec.inner_rounds));
-    if (rec.speculated > 0) w.kv("speculated", static_cast<double>(rec.speculated));
-    if (rec.rolled_back > 0) w.kv("rolled_back", static_cast<double>(rec.rolled_back));
     w.end_object();
     w.end_object();
   }

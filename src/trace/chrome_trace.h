@@ -22,8 +22,6 @@ struct EngineWindowRecord {
   int active_domains = 0;  // active groups for superstep rounds
   std::uint64_t events = 0;
   std::uint64_t inner_rounds = 0;  // device sub-windows inside the supersteps
-  std::uint64_t speculated = 0;    // events executed optimistically this round
-  std::uint64_t rolled_back = 0;   // speculated events undone this round
   bool equal_time = false;
 };
 

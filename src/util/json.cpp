@@ -20,6 +20,10 @@ double JsonValue::as_number() const {
 
 std::int64_t JsonValue::as_int() const {
   const double d = as_number();
+  // Casting a double outside the int64 range is undefined behaviour, so
+  // check first: -2^63 is representable, 2^63 is the first value past it.
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (!(d >= -kLimit && d < kLimit)) throw JsonError("integer out of range", 0);
   const auto i = static_cast<std::int64_t>(d);
   if (static_cast<double>(i) != d) throw JsonError("expected integer", 0);
   return i;

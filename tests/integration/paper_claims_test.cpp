@@ -2,6 +2,7 @@
 // a layer-reduced OPT-30B (so each point runs in milliseconds).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "model/model_spec.h"
@@ -10,16 +11,14 @@
 namespace liger::serving {
 namespace {
 
-struct ClaimsParam {
-  const char* node;  // "v100" | "a100"
-  int batch;
-};
-
-class PaperClaims : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+// (node preset "v100" | "a100", batch size). The preset is a
+// std::string, not a const char*: gtest prints a pointer parameter as
+// its address, which would make the listed test names differ per build.
+class PaperClaims : public ::testing::TestWithParam<std::tuple<std::string, int>> {
  protected:
   gpu::NodeSpec node() const {
-    return std::string(std::get<0>(GetParam())) == "a100" ? gpu::NodeSpec::a100_pcie(4)
-                                                          : gpu::NodeSpec::v100_nvlink(4);
+    return std::get<0>(GetParam()) == "a100" ? gpu::NodeSpec::a100_pcie(4)
+                                             : gpu::NodeSpec::v100_nvlink(4);
   }
   int batch() const { return std::get<1>(GetParam()); }
   model::ModelSpec model() const { return model::ModelZoo::opt_30b().with_layers(12); }
@@ -76,10 +75,11 @@ TEST_P(PaperClaims, InterOpThroughputNearLinearUnderOverload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Grid, PaperClaims,
-                         ::testing::Combine(::testing::Values("v100", "a100"),
+                         ::testing::Combine(::testing::Values(std::string("v100"),
+                                                              std::string("a100")),
                                             ::testing::Values(2, 8)),
                          [](const auto& info) {
-                           return std::string(std::get<0>(info.param)) + "_b" +
+                           return std::get<0>(info.param) + "_b" +
                                   std::to_string(std::get<1>(info.param));
                          });
 

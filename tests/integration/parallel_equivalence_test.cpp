@@ -92,62 +92,42 @@ RunOutput run_traced(ExperimentConfig cfg, int engine_threads) {
   return out;
 }
 
-void expect_equivalent_across_threads(const ExperimentConfig& base,
+void expect_equivalent_across_threads(const ExperimentConfig& cfg,
                                       const std::string& label) {
-  const RunOutput serial = run_traced(base, 1);
+  const RunOutput serial = run_traced(cfg, 1);
+  const RunOutput two = run_traced(cfg, 2);
+  const RunOutput four = run_traced(cfg, 4);
 
-  // The thread sweep runs once per speculation budget: optimistic
-  // execution must leave every output byte unchanged, whether it never
-  // engages (the production runtime's coroutine-backed cell domains
-  // decline the checkpoint hooks) or commits and rolls back episodes.
-  std::string raw_reference;
-  for (const std::uint64_t speculation : {0ull, 64ull, 1024ull}) {
-    ExperimentConfig cfg = base;
-    cfg.speculation = speculation;
-    const std::string tag = label + ", speculation " + std::to_string(speculation);
-    const RunOutput two = run_traced(cfg, 2);
-    const RunOutput four = run_traced(cfg, 4);
+  EXPECT_EQ(serial.report, two.report) << label << ": serial vs 2 threads";
+  EXPECT_EQ(serial.report, four.report) << label << ": serial vs 4 threads";
+  EXPECT_EQ(serial.trace_canonical, two.trace_canonical)
+      << label << ": trace diverged, serial vs 2 threads";
+  EXPECT_EQ(serial.trace_canonical, four.trace_canonical)
+      << label << ": trace diverged, serial vs 4 threads";
+  EXPECT_EQ(two.report, four.report);
+  // Partitioned runs differ only in worker count — the layout comes
+  // from the config, not the thread count — so identical windows,
+  // identical merge order, byte-identical raw output (including the
+  // engine-windows trace row) at every partitioned width.
+  const RunOutput eight = run_traced(cfg, 8);
+  EXPECT_EQ(two.trace_raw, four.trace_raw)
+      << label << ": partitioned runs must emit byte-identical traces";
+  EXPECT_EQ(four.trace_raw, eight.trace_raw)
+      << label << ": partitioned runs must emit byte-identical traces";
+  EXPECT_EQ(four.report, eight.report);
 
-    EXPECT_EQ(serial.report, two.report) << tag << ": serial vs 2 threads";
-    EXPECT_EQ(serial.report, four.report) << tag << ": serial vs 4 threads";
-    EXPECT_EQ(serial.trace_canonical, two.trace_canonical)
-        << tag << ": trace diverged, serial vs 2 threads";
-    EXPECT_EQ(serial.trace_canonical, four.trace_canonical)
-        << tag << ": trace diverged, serial vs 4 threads";
-    EXPECT_EQ(two.report, four.report);
-    // Partitioned runs differ only in worker count — the layout comes
-    // from the config, not the thread count — so identical windows,
-    // identical merge order, byte-identical raw output (including the
-    // engine-windows trace row) at every partitioned width.
-    const RunOutput eight = run_traced(cfg, 8);
-    EXPECT_EQ(two.trace_raw, four.trace_raw)
-        << tag << ": partitioned runs must emit byte-identical traces";
-    EXPECT_EQ(four.trace_raw, eight.trace_raw)
-        << tag << ": partitioned runs must emit byte-identical traces";
-    EXPECT_EQ(four.report, eight.report);
-    // Across budgets too: committed episodes reproduce the conservative
-    // rounds exactly, so even the raw bytes must not depend on the
-    // speculation setting.
-    if (raw_reference.empty()) {
-      raw_reference = two.trace_raw;
-    } else {
-      EXPECT_EQ(raw_reference, two.trace_raw)
-          << tag << ": raw trace depends on the speculation budget";
-    }
-
-    // CI hook: the scheduled tier-2 TSan job re-runs the suite across
-    // its engine_threads matrix (LIGER_EQUIVALENCE_EXTRA_THREADS at 8
-    // and at $(nproc)), exercising worker schedules a fixed thread
-    // list cannot.
-    if (const char* extra_env = std::getenv("LIGER_EQUIVALENCE_EXTRA_THREADS")) {
-      const int extra = std::atoi(extra_env);
-      if (extra > 1) {
-        const RunOutput wide = run_traced(cfg, extra);
-        EXPECT_EQ(serial.report, wide.report)
-            << tag << ": serial vs " << extra << " threads";
-        EXPECT_EQ(serial.trace_canonical, wide.trace_canonical)
-            << tag << ": trace diverged, serial vs " << extra << " threads";
-      }
+  // CI hook: the scheduled tier-2 TSan job re-runs the suite across
+  // its engine_threads matrix (LIGER_EQUIVALENCE_EXTRA_THREADS at 8
+  // and at $(nproc)), exercising worker schedules a fixed thread list
+  // cannot.
+  if (const char* extra_env = std::getenv("LIGER_EQUIVALENCE_EXTRA_THREADS")) {
+    const int extra = std::atoi(extra_env);
+    if (extra > 1) {
+      const RunOutput wide = run_traced(cfg, extra);
+      EXPECT_EQ(serial.report, wide.report)
+          << label << ": serial vs " << extra << " threads";
+      EXPECT_EQ(serial.trace_canonical, wide.trace_canonical)
+          << label << ": trace diverged, serial vs " << extra << " threads";
     }
   }
 }
@@ -253,8 +233,7 @@ TEST(ParallelEquivalenceTest, Fig15HybridTwoLevelCells) {
 // The generative driver has no ExperimentConfig path; build the
 // partitioned scaffolding by hand: host domain 0 drives the
 // conversations, node domain 1 runs the devices.
-GenerativeResult run_generative(int engine_threads, int conversations,
-                                std::uint64_t speculation = 0) {
+GenerativeResult run_generative(int engine_threads, int conversations) {
   GenerativeConfig gcfg;
   gcfg.conversations = conversations;
   gcfg.prompt_len = 16;
@@ -269,9 +248,7 @@ GenerativeResult run_generative(int engine_threads, int conversations,
     GenerativeDriver driver(engine, runtime, model, 4, gcfg);
     return driver.run();
   }
-  sim::ParallelEngine::Options opts;
-  opts.speculation_budget = speculation;
-  sim::ParallelEngine pe(2, opts);  // host + node, zero lookahead
+  sim::ParallelEngine pe(2);  // host + node, zero lookahead
   gpu::Node node(pe.domain(1), gpu::NodeSpec::a100_pcie(4));
   core::LigerRuntime runtime(node, model);
   GenerativeDriver driver(pe.domain(0), runtime, model, 4, gcfg);
@@ -292,12 +269,10 @@ std::string generative_json(const GenerativeResult& r) {
 TEST(ParallelEquivalenceTest, Fig11GenerativeDecode) {
   for (const int conversations : {1, 3}) {
     const auto serial = generative_json(run_generative(1, conversations));
-    for (const std::uint64_t speculation : {0ull, 64ull, 1024ull}) {
-      EXPECT_EQ(serial, generative_json(run_generative(2, conversations, speculation)))
-          << conversations << " conversations, 2 threads, speculation " << speculation;
-      EXPECT_EQ(serial, generative_json(run_generative(4, conversations, speculation)))
-          << conversations << " conversations, 4 threads, speculation " << speculation;
-    }
+    EXPECT_EQ(serial, generative_json(run_generative(2, conversations)))
+        << conversations << " conversations, 2 threads";
+    EXPECT_EQ(serial, generative_json(run_generative(4, conversations)))
+        << conversations << " conversations, 4 threads";
   }
 }
 

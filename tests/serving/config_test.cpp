@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace liger::serving {
 namespace {
 
@@ -166,6 +169,33 @@ TEST(ConfigTest, ClusterDefaultsAndValidation) {
   EXPECT_THROW(
       config_from_json(util::parse_json(R"({"cluster": {"fabric": {"preset": "carrier-pigeon"}}})")),
       std::invalid_argument);
+}
+
+TEST(ConfigTest, OutOfRangeIntegersThrowNamingTheKey) {
+  // 2^32 + 1 used to narrow to 1 and pass the engine_threads >= 1 check.
+  const auto message_for = [](const char* json) -> std::string {
+    try {
+      config_from_json(util::parse_json(json));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(message_for(R"({"engine_threads": 4294967297})").find("engine_threads"),
+            std::string::npos);
+  EXPECT_NE(message_for(R"({"cluster": {"nodes": 4294967297}})").find("nodes"),
+            std::string::npos);
+  EXPECT_NE(message_for(R"({"workload": {"requests": -2147483649}})").find("requests"),
+            std::string::npos);
+  EXPECT_NE(message_for(R"({"model": {"layers": 4294967344}})").find("layers"),
+            std::string::npos);
+  EXPECT_NE(message_for(R"({"node": {"devices": 2147483648}})").find("devices"),
+            std::string::npos);
+  // The int limits themselves still parse.
+  const auto cfg = config_from_json(
+      util::parse_json(R"({"workload": {"requests": 2147483647, "max_retries": -2147483648}})"));
+  EXPECT_EQ(cfg.workload.num_requests, 2147483647);
+  EXPECT_EQ(cfg.workload.max_retries, -2147483647 - 1);
 }
 
 TEST(ConfigTest, UnknownModelPresetThrows) {

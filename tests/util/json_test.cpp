@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace liger::util {
 namespace {
 
@@ -18,6 +20,18 @@ TEST(JsonParseTest, Scalars) {
 TEST(JsonParseTest, IntAccessor) {
   EXPECT_EQ(parse_json("42").as_int(), 42);
   EXPECT_THROW(parse_json("42.5").as_int(), JsonError);
+}
+
+TEST(JsonParseTest, IntAccessorRangeChecksBeforeCasting) {
+  // -2^63 is the smallest int64 and exact as a double; 2^63 and beyond
+  // do not fit and must throw rather than hit an undefined cast.
+  EXPECT_EQ(parse_json("-9223372036854775808").as_int(), INT64_MIN);
+  EXPECT_EQ(parse_json("9007199254740992").as_int(), std::int64_t{1} << 53);
+  EXPECT_THROW(parse_json("9223372036854775808").as_int(), JsonError);
+  EXPECT_THROW(parse_json("1e19").as_int(), JsonError);
+  EXPECT_THROW(parse_json("-1e19").as_int(), JsonError);
+  EXPECT_THROW(parse_json("1e300").as_int(), JsonError);
+  EXPECT_THROW(parse_json(R"({"n": 1e20})").int_or("n", 0), JsonError);
 }
 
 TEST(JsonParseTest, NestedDocument) {
