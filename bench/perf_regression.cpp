@@ -14,8 +14,6 @@
 //                            round-plan materialization + execution path
 //   * fig10_panel_a        — one end-to-end serving experiment
 //                            (OPT-30B, 4xV100-NVLink, batch 2, Liger)
-//   * fig11_generative     — end-to-end multi-conversation generative
-//                            serving (prefill + chained decodes)
 //   * serving_overload     — rounds vs continuous batching under an
 //                            arrival rate above capacity: both modes
 //                            serve the identical generative workload
@@ -81,7 +79,6 @@
 #include "gpu/node.h"
 #include "model/model_spec.h"
 #include "serving/experiment.h"
-#include "serving/generative.h"
 #include "sim/engine.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
@@ -214,39 +211,6 @@ std::uint64_t round_materialize_steady(int batches) {
   }
   engine.run();
   return runtime.stats().rounds;
-}
-
-// End-to-end generative serving (fig11-style workload, full token
-// chains): multi-conversation prefill + chained decodes with growing
-// KV context. Returns tokens generated; fills wall/sim times.
-struct GenerativeSteadyResult {
-  double wall_ms = 0.0;
-  sim::SimTime makespan = 0;
-  std::uint64_t tokens = 0;
-  std::uint64_t rounds = 0;
-  double tokens_per_second = 0.0;  // simulated-time throughput
-};
-
-GenerativeSteadyResult generative_steady(int conversations, int tokens) {
-  sim::Engine engine;
-  gpu::Node node(engine, gpu::NodeSpec::v100_nvlink(4));
-  core::LigerRuntime runtime(node, model::ModelZoo::opt_30b().with_layers(12));
-  serving::GenerativeConfig cfg;
-  cfg.conversations = conversations;
-  cfg.prompt_len = 16;
-  cfg.tokens = tokens;
-  cfg.batch_size = 32;
-  serving::GenerativeDriver driver(engine, runtime, model::ModelZoo::opt_30b().with_layers(12),
-                                   node.num_devices(), cfg);
-  const auto start = Clock::now();
-  const auto result = driver.run();
-  GenerativeSteadyResult out;
-  out.wall_ms = seconds_since(start) * 1e3;
-  out.makespan = result.makespan;
-  out.tokens = static_cast<std::uint64_t>(conversations) * static_cast<std::uint64_t>(tokens);
-  out.rounds = runtime.stats().rounds;
-  out.tokens_per_second = result.tokens_per_second;
-  return out;
 }
 
 // End-to-end multi-node hybrid serving (fig15-style: OPT-30B, 4 8-GPU
@@ -532,15 +496,12 @@ int main(int argc, char** argv) {
   }
 
   const bool run_fig10 = want("fig10_panel_a/end_to_end");
-  const bool run_fig11 = want("fig11_generative/end_to_end");
   const bool run_overload = want("serving_overload");
   const bool run_availability = want("serving_availability");
   const bool run_fig15 = want("fig15_multinode/end_to_end");
 
   sim::SimTime makespan = 0;
   const double fig10_ms = run_fig10 ? fig10_panel_a_wall_ms(requests, makespan) : 0.0;
-  const auto generative = run_fig11 ? generative_steady(/*conversations=*/4, /*tokens=*/48)
-                                    : GenerativeSteadyResult{};
 
   OverloadResult overload_rounds;
   OverloadResult overload_cont;
@@ -638,12 +599,6 @@ int main(int argc, char** argv) {
     std::printf("%-28s %12s %11.1f ms (makespan %.2f sim-ms, %d requests)\n",
                 "fig10_panel_a/end_to_end", "1", fig10_ms, sim::to_ms(makespan), requests);
   }
-  if (run_fig11) {
-    std::printf("%-28s %12s %11.1f ms (makespan %.2f sim-ms, %llu tokens, %llu rounds)\n",
-                "fig11_generative/end_to_end", "1", generative.wall_ms,
-                sim::to_ms(generative.makespan), (unsigned long long)generative.tokens,
-                (unsigned long long)generative.rounds);
-  }
   if (run_overload) {
     for (const auto* o : {&overload_rounds, &overload_cont}) {
       const bool cont = o == &overload_cont;
@@ -723,16 +678,6 @@ int main(int argc, char** argv) {
       json.kv("requests", requests);
       json.kv("wall_ms", fig10_ms);
       json.kv("sim_makespan_ms", sim::to_ms(makespan));
-      json.end_object();
-    }
-    if (run_fig11) {
-      json.begin_object();
-      json.kv("name", "fig11_generative/end_to_end");
-      json.kv("tokens", static_cast<std::int64_t>(generative.tokens));
-      json.kv("rounds", static_cast<std::int64_t>(generative.rounds));
-      json.kv("wall_ms", generative.wall_ms);
-      json.kv("sim_makespan_ms", sim::to_ms(generative.makespan));
-      json.kv("sim_tokens_per_second", generative.tokens_per_second);
       json.end_object();
     }
     if (run_overload) {

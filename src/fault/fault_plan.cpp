@@ -103,8 +103,8 @@ FaultEvent fault_event_from_json(const util::JsonValue& entry) {
   FaultEvent ev;
   ev.kind = parse_kind(entry.string_or("kind", "fail_stop"));
   ev.time = ms_field(entry, "t_ms", 0.0);
-  ev.node = static_cast<int>(entry.int_or("node", 0));
-  ev.device = static_cast<int>(entry.int_or("device", 0));
+  ev.node = util::int_field(entry, "node", 0);
+  ev.device = util::int_field(entry, "device", 0);
   ev.factor = entry.number_or("factor", ev.factor);
   ev.duration = ms_field(entry, "duration_ms", 0.0);
   ev.period = ms_field(entry, "period_ms", 0.0);
@@ -129,7 +129,7 @@ FaultConfig fault_config_from_json(const util::JsonValue& faults) {
     cfg.detection.heartbeat_interval = sim::from_us(d->number_or(
         "heartbeat_interval_us", sim::to_us(cfg.detection.heartbeat_interval)));
     cfg.detection.miss_threshold =
-        static_cast<int>(d->int_or("miss_threshold", cfg.detection.miss_threshold));
+        util::int_field(*d, "miss_threshold", cfg.detection.miss_threshold);
     if (cfg.detection.heartbeat_interval <= 0 || cfg.detection.miss_threshold < 1) {
       throw std::invalid_argument("faults.detection: interval and threshold must be positive");
     }

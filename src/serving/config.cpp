@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
 namespace liger::serving {
+
+using util::int_field;
 
 namespace {
 
@@ -15,17 +16,6 @@ std::string lower(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return s;
-}
-
-// Optional integer field that must fit an int. A bare
-// static_cast<int>(int_or(...)) would wrap 4294967297 to 1 and slip past
-// every later range check.
-int int_field(const util::JsonValue& obj, const std::string& key, int def) {
-  const std::int64_t v = obj.int_or(key, def);
-  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
-    throw std::invalid_argument(key + " is out of range: " + std::to_string(v));
-  }
-  return static_cast<int>(v);
 }
 
 gpu::NodeSpec node_from_json(const util::JsonValue& node) {
@@ -128,7 +118,9 @@ ExperimentConfig config_from_json(const util::JsonValue& doc) {
     cfg.workload.batch_size = int_field(*w, "batch", cfg.workload.batch_size);
     cfg.workload.seq_min = int_field(*w, "seq_min", cfg.workload.seq_min);
     cfg.workload.seq_max = int_field(*w, "seq_max", cfg.workload.seq_max);
-    cfg.workload.seed = static_cast<std::uint64_t>(w->int_or("seed", 7));
+    const std::int64_t seed = w->int_or("seed", 7);
+    if (seed < 0) throw std::invalid_argument("workload.seed must be >= 0");
+    cfg.workload.seed = static_cast<std::uint64_t>(seed);
     cfg.workload.phase = parse_phase(w->string_or("phase", "prefill"));
     cfg.workload.deadline = sim::from_us(w->number_or("deadline_ms", 0.0) * 1e3);
     cfg.workload.max_retries = int_field(*w, "max_retries", cfg.workload.max_retries);
@@ -213,24 +205,6 @@ ExperimentConfig config_from_json(const util::JsonValue& doc) {
 
 ExperimentConfig config_from_file(const std::string& path) {
   return config_from_json(util::parse_json_file(path));
-}
-
-std::vector<model::BatchRequest> trace_from_json(const util::JsonValue& doc) {
-  std::vector<model::BatchRequest> trace;
-  sim::SimTime prev = 0;
-  int id = 0;
-  for (const auto& entry : doc.as_array()) {
-    model::BatchRequest req;
-    req.id = id++;
-    req.arrival = sim::from_us(entry.number_or("t_ms", 0.0) * 1e3);
-    req.batch_size = int_field(entry, "batch", 1);
-    req.seq = int_field(entry, "seq", 64);
-    req.phase = parse_phase(entry.string_or("phase", "prefill"));
-    if (req.arrival < prev) throw std::invalid_argument("trace not sorted by t_ms");
-    prev = req.arrival;
-    trace.push_back(req);
-  }
-  return trace;
 }
 
 }  // namespace liger::serving

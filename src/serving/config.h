@@ -64,9 +64,4 @@ ExperimentConfig config_from_file(const std::string& path);
 // case-insensitively, plus "liger-cpusync").
 Method parse_method(const std::string& name);
 
-// Parses an explicit request trace:
-//   [ {"t_ms": 0.0, "batch": 2, "seq": 64, "phase": "prefill"}, ... ]
-// Requests must be sorted by t_ms; ids are assigned sequentially.
-std::vector<model::BatchRequest> trace_from_json(const util::JsonValue& doc);
-
 }  // namespace liger::serving

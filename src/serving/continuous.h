@@ -15,12 +15,11 @@
 //    replay its prefill at re-admission) or swap (stream the blocks
 //    to host over a serialized PCIe link, and back on re-admission).
 //
-//  * kRounds — the static-batching baseline the legacy driver
-//    modelled: requests are admitted only when the running set is
-//    empty, the round reserves KV for every member's full final
-//    context up front (so it never preempts), and the batch keeps the
-//    round's initial width until the last member finishes — early
-//    finishers ride along as padding.
+//  * kRounds — the static-batching baseline: requests are admitted
+//    only when the running set is empty, the round reserves KV for
+//    every member's full final context up front (so it never
+//    preempts), and the batch keeps the round's initial width until
+//    the last member finishes — early finishers ride along as padding.
 //
 // The scheduler runs one iteration at a time on the serving host's
 // engine domain and mirrors Server's dispatch discipline (submits

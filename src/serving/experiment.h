@@ -47,9 +47,9 @@ struct ExperimentConfig {
   // mode instead of the one-shot Server path (kRounds = static-batching
   // baseline, kContinuous = iteration-level admission + paged KV +
   // preemption). One-shot workloads (decode_tokens_max == 0, the
-  // default) take the legacy Server path bit-identically regardless of
-  // this setting. Supported for tensor-parallel methods (kLiger,
-  // kLigerCpuSync, kIntraOp). Faults compose with generative batching:
+  // default) run on Server bit-identically regardless of this setting.
+  // Supported for tensor-parallel methods (kLiger, kLigerCpuSync,
+  // kIntraOp). Faults compose with generative batching:
   // a fail-stop purges the dead shard's paged KV, rebuilds the pool at
   // survivor capacity and re-queues the damaged requests for a
   // drop-and-recompute prefill (fail-stop needs a liger runtime on a

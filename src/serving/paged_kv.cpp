@@ -3,9 +3,20 @@
 #include <algorithm>
 #include <cassert>
 
-#include "serving/generative.h"
-
 namespace liger::serving {
+
+std::uint64_t kv_cache_bytes(const model::ModelSpec& spec, int batch_size, int ctx, int tp) {
+  // K and V per layer: [batch, heads/tp, ctx, head_dim], fp16.
+  if (batch_size <= 0 || ctx <= 0) return 0;  // empty batch / empty context holds nothing
+  // When tp doesn't divide heads, ranks take ceil(heads/tp) each (the
+  // uneven shard sizes the device with the most heads — the one whose
+  // memory binds first).
+  const int heads_per_rank = (spec.heads + tp - 1) / tp;
+  return 2ull * static_cast<std::uint64_t>(spec.layers) *
+         static_cast<std::uint64_t>(batch_size) *
+         static_cast<std::uint64_t>(heads_per_rank) *
+         static_cast<std::uint64_t>(spec.head_dim()) * static_cast<std::uint64_t>(ctx) * 2ull;
+}
 
 std::uint64_t PagedKvAllocator::block_bytes(const model::ModelSpec& spec, int block_tokens,
                                             int tp) {

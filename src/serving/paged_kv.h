@@ -1,16 +1,15 @@
 // Block-granular KV-cache memory manager (vLLM-style paged attention
 // accounting) for iteration-level serving.
 //
-// The legacy driver tracks KV memory as one scalar per conversation
-// (kv_cache_bytes over the whole context). Under continuous batching
-// that accounting is wrong in both directions: requests at different
-// context lengths share the pool, and a request's last partially-filled
-// block wastes real memory the scalar model never sees. The allocator
-// manages a fixed pool of equal-size blocks per device: a request holds
-// ceil(context / block_tokens) blocks per sequence on EVERY device of
-// the tensor-parallel group (each device stores its head shard of every
-// block), so one logical block costs `block_bytes` on each device and
-// the pool is sized per device.
+// One scalar per request (kv_cache_bytes over the whole context) is
+// the wrong accounting under continuous batching, in both directions:
+// requests at different context lengths share the pool, and a request's
+// last partially-filled block wastes real memory the scalar never
+// sees. The allocator manages a fixed pool of equal-size blocks per
+// device: a request holds ceil(context / block_tokens) blocks per
+// sequence on EVERY device of the tensor-parallel group (each device
+// stores its head shard of every block), so one logical block costs
+// `block_bytes` on each device and the pool is sized per device.
 //
 // Free blocks form a LIFO free list. LIFO is deliberate: it keeps the
 // working set hot and, more importantly here, makes allocation order a
@@ -51,6 +50,12 @@ struct PagedKvStats {
 
   int block_capacity_tokens = 1;  // tokens one block holds per sequence
 };
+
+// Per-device KV-cache bytes for one sequence batch at context length
+// `ctx`: K and V, fp16, heads sharded tp ways (ceil division when tp
+// doesn't divide heads — sized for the widest shard). Non-positive
+// batch or ctx holds nothing and returns 0.
+std::uint64_t kv_cache_bytes(const model::ModelSpec& spec, int batch_size, int ctx, int tp);
 
 // Per-device free-list allocator over a fixed pool of KV blocks. All
 // devices of the TP group hold the same block set (head-sharded), so a

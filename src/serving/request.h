@@ -3,12 +3,10 @@
 // One GenRequest is a group of `batch_size` sequences generated in
 // lockstep: a prompt of prompt_len tokens, then target_tokens decode
 // steps, each extending the group's KV state by one token per
-// sequence. The two generative drivers share this state:
-//   * GenerativeDriver (legacy, serving/generative.h) chains each
-//     request's iterations independently — request-level batching;
-//   * ContinuousScheduler (serving/continuous.h) re-forms one ragged
-//     batch from every running request between decode iterations —
-//     iteration-level batching with paged KV memory and preemption.
+// sequence. ContinuousScheduler (serving/continuous.h) drives it: it
+// re-forms one ragged batch from every running request between decode
+// iterations — iteration-level batching with paged KV memory and
+// preemption.
 //
 // Stage transitions:
 //

@@ -123,36 +123,4 @@ Report Server::run(ArrivalProcess& arrivals) {
   return metrics_.report(arrivals.rate());
 }
 
-sim::Task Server::trace_generator(std::vector<model::BatchRequest> trace) {
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    model::BatchRequest req = trace[i];
-    assert(req.arrival >= engine_.now() && "trace must be sorted by arrival");
-    if (req.arrival > engine_.now()) {
-      co_await sim::delay(engine_, req.arrival - engine_.now());
-    }
-    dispatch(req);
-  }
-}
-
-Report Server::run_trace(std::vector<model::BatchRequest> trace) {
-  assert(!used_ && "Server::run is single-shot");
-  used_ = true;
-  const std::size_t n = trace.size();
-  install_hooks();
-  sim::SimTime span = 0;
-  if (!trace.empty()) span = trace.back().arrival - trace.front().arrival;
-  const double rate =
-      span > 0 ? static_cast<double>(n - 1) / sim::to_seconds(span) : 0.0;
-  trace_generator(std::move(trace));
-  if (drive_) {
-    drive_();
-  } else {
-    engine_.run();
-  }
-  assert((metrics_.completions() == n || any_drop_) &&
-         "all replayed requests must complete in a fault-free run");
-  (void)n;
-  return metrics_.report(rate);
-}
-
 }  // namespace liger::serving

@@ -58,20 +58,14 @@ class Server {
   // last completion. Must be called at most once.
   Report run(ArrivalProcess& arrivals);
 
-  // Replays an explicit request trace (arrival times, batch sizes and
-  // sequence lengths from the trace; `workload` is ignored except for
-  // metrics). Trace must be sorted by arrival time. Single-shot, like
-  // run().
-  Report run_trace(std::vector<model::BatchRequest> trace);
-
   const MetricsCollector& metrics() const { return metrics_; }
   // Requests abandoned after exhausting their retry budget.
   std::size_t abandoned() const { return abandoned_; }
 
-  // Replaces the default `engine_.run()` drain inside run()/run_trace()
-  // — a partitioned experiment installs the ParallelEngine's windowed
-  // run here. The driver must execute the server's engine (it is one of
-  // the partition's domains) to exhaustion.
+  // Replaces the default `engine_.run()` drain inside run() — a
+  // partitioned experiment installs the ParallelEngine's windowed run
+  // here. The driver must execute the server's engine (it is one of the
+  // partition's domains) to exhaustion.
   void set_driver(std::function<std::uint64_t()> drive) { drive_ = std::move(drive); }
 
  private:
@@ -83,7 +77,6 @@ class Server {
   };
 
   sim::Task generator(ArrivalProcess& arrivals);
-  sim::Task trace_generator(std::vector<model::BatchRequest> trace);
   void install_hooks();
   void dispatch(model::BatchRequest request);  // first submission
   void on_runtime_complete(const model::BatchRequest& request, sim::SimTime t);

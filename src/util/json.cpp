@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace liger::util {
@@ -58,6 +59,14 @@ double JsonValue::number_or(const std::string& key, double def) const {
 std::int64_t JsonValue::int_or(const std::string& key, std::int64_t def) const {
   const JsonValue* v = find(key);
   return v == nullptr ? def : v->as_int();
+}
+
+int int_field(const JsonValue& obj, const std::string& key, int def) {
+  const std::int64_t v = obj.int_or(key, def);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(key + " is out of range: " + std::to_string(v));
+  }
+  return static_cast<int>(v);
 }
 
 std::string JsonValue::string_or(const std::string& key, const std::string& def) const {

@@ -71,6 +71,12 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject> value_;
 };
 
+// Optional integer field of an object that must fit an int (`def` when
+// absent). Throws std::invalid_argument naming the key when it does
+// not: a bare static_cast<int>(int_or(...)) would wrap 4294967297 to 1
+// and slip past every later range check.
+int int_field(const JsonValue& obj, const std::string& key, int def);
+
 // Parses a complete JSON document; trailing non-whitespace is an error.
 JsonValue parse_json(std::string_view text);
 

@@ -214,7 +214,7 @@ TEST(LigerRuntimeTest, RetainedPlansBoundedByRanksOverLongRun) {
   LigerRuntime runtime(node, model::ModelZoo::opt_30b().with_layers(6));
 
   // Autoregressive chain: each completion submits the next token's
-  // decode with a grown context, like serving::GenerativeDriver.
+  // decode with a grown context.
   int context = 16;
   int tokens_left = 200;
   runtime.set_completion_hook([&](const model::BatchRequest&, sim::SimTime) {

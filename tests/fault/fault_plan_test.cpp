@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "util/json.h"
 
@@ -145,6 +146,26 @@ TEST(FaultPlanTest, JsonRejectsUnknownKindAndBadDetection) {
   EXPECT_THROW(fault_config_from_json(util::parse_json(
                    R"({"recovery": {"replan_ms": -1.0}})")),
                std::invalid_argument);
+}
+
+TEST(FaultPlanTest, JsonRejectsIntsOutsideIntRange) {
+  // 2^32 used to narrow to node 0 and pass validate(); 2^32 + 1 used to
+  // narrow to a miss threshold of 1 and pass the >= 1 check.
+  const auto message_for = [](const char* json) -> std::string {
+    try {
+      fault_config_from_json(util::parse_json(json));
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_NE(message_for(R"({"plan": [{"node": 4294967296}]})").find("node"),
+            std::string::npos);
+  EXPECT_NE(message_for(R"({"plan": [{"device": -4294967294}]})").find("device"),
+            std::string::npos);
+  EXPECT_NE(message_for(R"({"detection": {"miss_threshold": 4294967297}})")
+                .find("miss_threshold"),
+            std::string::npos);
 }
 
 }  // namespace

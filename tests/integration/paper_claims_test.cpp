@@ -74,6 +74,34 @@ TEST_P(PaperClaims, InterOpThroughputNearLinearUnderOverload) {
   EXPECT_GT(inter.throughput_bps, 0.85 * intra.throughput_bps);
 }
 
+// Fig 11: the decode-phase claim — one decode batch per request with
+// the KV cache, batch 32, seq 16, on OPT-30B/A100 past Intra-Op
+// saturation. One point rather than a phase axis on PaperClaims, whose
+// prefill grid (batch 2/8) would otherwise double.
+TEST(PaperClaimsDecode, LigerThroughputExceedsIntraOpOnDecodeBatches) {
+  const auto node = gpu::NodeSpec::a100_pcie(4);
+  const auto model = model::ModelZoo::opt_30b().with_layers(12);
+  const double intra_saturation = 1.0 / sim::to_seconds(isolated_intra_batch_time(
+                                             node, model, 32, 16, model::Phase::kDecode));
+  const auto run = [&](Method m) {
+    ExperimentConfig cfg;
+    cfg.node = node;
+    cfg.model = model;
+    cfg.method = m;
+    cfg.rate = 1.5 * intra_saturation;
+    cfg.workload.num_requests = 60;
+    cfg.workload.batch_size = 32;
+    cfg.workload.seq_min = cfg.workload.seq_max = 16;
+    cfg.workload.phase = model::Phase::kDecode;
+    return run_experiment(cfg);
+  };
+  const auto liger = run(Method::kLiger);
+  const auto intra = run(Method::kIntraOp);
+  ASSERT_EQ(liger.completed, 60u);
+  ASSERT_EQ(intra.completed, 60u);
+  EXPECT_GT(liger.throughput_bps, 1.05 * intra.throughput_bps);
+}
+
 INSTANTIATE_TEST_SUITE_P(Grid, PaperClaims,
                          ::testing::Combine(::testing::Values(std::string("v100"),
                                                               std::string("a100")),

@@ -4,7 +4,7 @@
 // reproduce the serial simulation exactly: every Report field and every
 // trace record, for every seed and every worker-thread count. These
 // tests replay the paper's figure workloads (fig10 single-node serving,
-// fig11 generative decode, fig15 multi-node hybrid, fig16 faults) at
+// generative rounds batching, fig15 multi-node hybrid, fig16 faults) at
 // engine_threads 1/2/4 across three seeds and compare:
 //   - the full Report, serialized at max precision (a mismatch in any
 //     field, including the last float bit, fails), and
@@ -30,8 +30,6 @@
 #include "gpu/node.h"
 #include "model/model_spec.h"
 #include "serving/experiment.h"
-#include "serving/generative.h"
-#include "sim/parallel_engine.h"
 #include "trace/chrome_trace.h"
 #include "trace/domain_mux.h"
 
@@ -54,7 +52,15 @@ std::string report_json(const Report& r) {
       << ",\"timed_out\":" << r.timed_out << ",\"retries\":" << r.retries
       << ",\"lost\":" << r.lost << ",\"goodput_bps\":" << r.goodput_bps
       << ",\"goodput_rps\":" << r.goodput_rps
-      << ",\"slo_violation_rate\":" << r.slo_violation_rate << "}";
+      << ",\"slo_violation_rate\":" << r.slo_violation_rate;
+  const auto& g = r.generative;
+  out << ",\"generative\":{\"iterations\":" << g.iterations << ",\"tokens\":" << g.tokens
+      << ",\"ttft_ms_avg\":" << g.ttft_ms_avg << ",\"ttft_ms_p99\":" << g.ttft_ms_p99
+      << ",\"tpot_ms_avg\":" << g.tpot_ms_avg << ",\"tpot_ms_p99\":" << g.tpot_ms_p99
+      << ",\"decode_batch_avg\":" << g.decode_batch_avg
+      << ",\"padding_tokens\":" << g.padding_tokens
+      << ",\"kv_peak_used_blocks\":" << g.kv_peak_used_blocks
+      << ",\"kv_peak_utilization\":" << g.kv_peak_utilization << "}}";
   return out.str();
 }
 
@@ -79,7 +85,7 @@ struct RunOutput {
   std::string trace_raw;  // as emitted, no normalization
 };
 
-RunOutput run_traced(ExperimentConfig cfg, int engine_threads) {
+RunOutput run_with_trace(ExperimentConfig cfg, int engine_threads) {
   trace::ChromeTraceSink sink;
   cfg.trace_sink = &sink;
   cfg.engine_threads = engine_threads;
@@ -94,9 +100,9 @@ RunOutput run_traced(ExperimentConfig cfg, int engine_threads) {
 
 void expect_equivalent_across_threads(const ExperimentConfig& cfg,
                                       const std::string& label) {
-  const RunOutput serial = run_traced(cfg, 1);
-  const RunOutput two = run_traced(cfg, 2);
-  const RunOutput four = run_traced(cfg, 4);
+  const RunOutput serial = run_with_trace(cfg, 1);
+  const RunOutput two = run_with_trace(cfg, 2);
+  const RunOutput four = run_with_trace(cfg, 4);
 
   EXPECT_EQ(serial.report, two.report) << label << ": serial vs 2 threads";
   EXPECT_EQ(serial.report, four.report) << label << ": serial vs 4 threads";
@@ -109,7 +115,7 @@ void expect_equivalent_across_threads(const ExperimentConfig& cfg,
   // from the config, not the thread count — so identical windows,
   // identical merge order, byte-identical raw output (including the
   // engine-windows trace row) at every partitioned width.
-  const RunOutput eight = run_traced(cfg, 8);
+  const RunOutput eight = run_with_trace(cfg, 8);
   EXPECT_EQ(two.trace_raw, four.trace_raw)
       << label << ": partitioned runs must emit byte-identical traces";
   EXPECT_EQ(four.trace_raw, eight.trace_raw)
@@ -123,7 +129,7 @@ void expect_equivalent_across_threads(const ExperimentConfig& cfg,
   if (const char* extra_env = std::getenv("LIGER_EQUIVALENCE_EXTRA_THREADS")) {
     const int extra = std::atoi(extra_env);
     if (extra > 1) {
-      const RunOutput wide = run_traced(cfg, extra);
+      const RunOutput wide = run_with_trace(cfg, extra);
       EXPECT_EQ(serial.report, wide.report)
           << label << ": serial vs " << extra << " threads";
       EXPECT_EQ(serial.trace_canonical, wide.trace_canonical)
@@ -228,51 +234,29 @@ TEST(ParallelEquivalenceTest, Fig15HybridTwoLevelCells) {
   }
 }
 
-// --- fig11: generative (autoregressive) serving --------------------------
+// --- generative serving, static-batching rounds ---------------------------
 
-// The generative driver has no ExperimentConfig path; build the
-// partitioned scaffolding by hand: host domain 0 drives the
-// conversations, node domain 1 runs the devices.
-GenerativeResult run_generative(int engine_threads, int conversations) {
-  GenerativeConfig gcfg;
-  gcfg.conversations = conversations;
-  gcfg.prompt_len = 16;
-  gcfg.tokens = 4;
-  gcfg.batch_size = 8;
-  const auto model = model::ModelZoo::opt_30b().with_layers(4);
-
-  if (engine_threads <= 1) {
-    sim::Engine engine;
-    gpu::Node node(engine, gpu::NodeSpec::a100_pcie(4));
-    core::LigerRuntime runtime(node, model);
-    GenerativeDriver driver(engine, runtime, model, 4, gcfg);
-    return driver.run();
-  }
-  sim::ParallelEngine pe(2);  // host + node, zero lookahead
-  gpu::Node node(pe.domain(1), gpu::NodeSpec::a100_pcie(4));
-  core::LigerRuntime runtime(node, model);
-  GenerativeDriver driver(pe.domain(0), runtime, model, 4, gcfg);
-  driver.set_driver([&pe, engine_threads] {
-    return pe.run(static_cast<unsigned>(engine_threads));
-  });
-  return driver.run();
-}
-
-std::string generative_json(const GenerativeResult& r) {
-  std::ostringstream out;
-  out.precision(std::numeric_limits<double>::max_digits10);
-  out << r.prefill_ms_avg << "," << r.decode_ms_avg << "," << r.decode_ms_p99 << ","
-      << r.tokens_per_second << "," << r.makespan << "," << r.peak_kv_bytes_per_device;
-  return out.str();
-}
-
-TEST(ParallelEquivalenceTest, Fig11GenerativeDecode) {
-  for (const int conversations : {1, 3}) {
-    const auto serial = generative_json(run_generative(1, conversations));
-    EXPECT_EQ(serial, generative_json(run_generative(2, conversations)))
-        << conversations << " conversations, 2 threads";
-    EXPECT_EQ(serial, generative_json(run_generative(4, conversations)))
-        << conversations << " conversations, 4 threads";
+TEST(ParallelEquivalenceTest, GenerativeRoundsBatching) {
+  // Prefill plus multi-token decode through ContinuousScheduler in
+  // kRounds mode: rounds admit into an empty running set, reserve KV
+  // for the final context and carry early finishers as padding.
+  for (const auto seed : kSeeds) {
+    ExperimentConfig cfg;
+    cfg.node = gpu::NodeSpec::a100_pcie(4);
+    cfg.model = model::ModelZoo::opt_30b().with_layers(4);
+    cfg.method = Method::kLiger;
+    cfg.rate = 400.0;
+    cfg.poisson = true;
+    cfg.workload.num_requests = 6;
+    cfg.workload.batch_size = 8;
+    cfg.workload.seq_min = 16;
+    cfg.workload.seq_max = 48;
+    cfg.workload.decode_tokens_min = 2;
+    cfg.workload.decode_tokens_max = 6;
+    cfg.workload.seed = seed;
+    cfg.batching = BatchingMode::kRounds;
+    expect_equivalent_across_threads(cfg,
+                                     "generative rounds seed " + std::to_string(seed));
   }
 }
 

@@ -191,6 +191,8 @@ TEST(ConfigTest, OutOfRangeIntegersThrowNamingTheKey) {
             std::string::npos);
   EXPECT_NE(message_for(R"({"node": {"devices": 2147483648}})").find("devices"),
             std::string::npos);
+  // The seed is unsigned: -1 used to wrap to 2^64 - 1.
+  EXPECT_NE(message_for(R"({"workload": {"seed": -1}})").find("seed"), std::string::npos);
   // The int limits themselves still parse.
   const auto cfg = config_from_json(
       util::parse_json(R"({"workload": {"requests": 2147483647, "max_retries": -2147483648}})"));

@@ -4,8 +4,6 @@
 
 #include <string>
 
-#include "serving/generative.h"
-
 namespace liger::serving {
 namespace {
 
@@ -19,6 +17,34 @@ model::ModelSpec tiny() { return model::ModelSpec{"tiny", 4, 8, 64}; }
 void expect_clean(const PagedKvAllocator& a) {
   std::string err;
   EXPECT_TRUE(a.audit(&err)) << err;
+}
+
+TEST(KvCacheBytesTest, Formula) {
+  // 2 (K+V) * layers * batch * heads/tp * head_dim * ctx * 2 bytes.
+  model::ModelSpec m{"x", 4, 8, 64};  // head_dim 8
+  EXPECT_EQ(kv_cache_bytes(m, 2, 10, 2), 2ull * 4 * 2 * 4 * 8 * 10 * 2);
+}
+
+TEST(KvCacheBytesTest, GrowsLinearlyWithContext) {
+  const auto m = model::ModelZoo::opt_30b();
+  EXPECT_EQ(kv_cache_bytes(m, 32, 200, 4), 2 * kv_cache_bytes(m, 32, 100, 4));
+}
+
+TEST(KvCacheBytesTest, EmptyBatchOrContextHoldsNothing) {
+  model::ModelSpec m{"x", 4, 8, 64};
+  EXPECT_EQ(kv_cache_bytes(m, 0, 10, 2), 0u);
+  EXPECT_EQ(kv_cache_bytes(m, -1, 10, 2), 0u);
+  EXPECT_EQ(kv_cache_bytes(m, 2, 0, 2), 0u);
+  EXPECT_EQ(kv_cache_bytes(m, 2, -5, 2), 0u);
+}
+
+TEST(KvCacheBytesTest, TpNotDividingHeadsRoundsShardUp) {
+  // 8 heads over tp=3: each rank stores ceil(8/3) = 3 head shards — the
+  // uneven split costs memory on the widest rank, it doesn't lose heads.
+  model::ModelSpec m{"x", 4, 8, 64};
+  EXPECT_EQ(kv_cache_bytes(m, 2, 10, 3), 2ull * 4 * 2 * 3 * 8 * 10 * 2);
+  // tp wider than heads still leaves one head per rank.
+  EXPECT_EQ(kv_cache_bytes(m, 2, 10, 16), 2ull * 4 * 2 * 1 * 8 * 10 * 2);
 }
 
 TEST(PagedKvAllocatorTest, BlockBytesMatchesKvCacheBytesForOneBlock) {

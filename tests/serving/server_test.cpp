@@ -5,7 +5,6 @@
 #include "baselines/intra_op_runtime.h"
 #include "gpu/node.h"
 #include "model/model_spec.h"
-#include "serving/config.h"
 #include "support/fixtures.h"
 
 namespace liger::serving {
@@ -67,50 +66,6 @@ TEST(ServerTest, PoissonArrivalsServeToo) {
   PoissonArrivals arrivals(100.0);
   const Report rep = server.run(arrivals);
   EXPECT_EQ(rep.completed, 25u);
-}
-
-TEST(ServerTest, TraceReplaySubmitsAtRecordedTimes) {
-  ServerFixture f;
-  WorkloadConfig w;
-  w.num_requests = 3;  // ignored by run_trace
-  Server server(f.engine, f.runtime, w);
-  std::vector<model::BatchRequest> trace;
-  for (int i = 0; i < 3; ++i) {
-    model::BatchRequest r;
-    r.id = i;
-    r.batch_size = 2;
-    r.seq = 32;
-    r.arrival = sim::milliseconds(5) * i;
-    trace.push_back(r);
-  }
-  const auto rep = server.run_trace(trace);
-  EXPECT_EQ(rep.completed, 3u);
-  // Arrivals are 5 ms apart and each tiny batch finishes well within
-  // the gap, so the last completion lands just after t=10 ms.
-  EXPECT_GE(rep.makespan, sim::milliseconds(10));
-  EXPECT_LT(rep.makespan, sim::milliseconds(12));
-  // Offered rate derived from the trace span: 2 gaps over 10 ms.
-  EXPECT_NEAR(rep.offered_rate, 200.0, 1e-6);
-}
-
-TEST(ServerTest, TraceFromJsonRoundTrip) {
-  const auto trace = trace_from_json(util::parse_json(R"([
-    {"t_ms": 0.0, "batch": 2, "seq": 64},
-    {"t_ms": 12.5, "batch": 4, "seq": 16, "phase": "decode"}
-  ])"));
-  ASSERT_EQ(trace.size(), 2u);
-  EXPECT_EQ(trace[0].arrival, 0);
-  EXPECT_EQ(trace[1].arrival, sim::from_us(12500.0));
-  EXPECT_EQ(trace[1].batch_size, 4);
-  EXPECT_EQ(trace[1].phase, model::Phase::kDecode);
-  EXPECT_EQ(trace[1].id, 1);
-}
-
-TEST(ServerTest, UnsortedTraceRejected) {
-  EXPECT_THROW(trace_from_json(util::parse_json(R"([
-    {"t_ms": 10.0}, {"t_ms": 5.0}
-  ])")),
-               std::invalid_argument);
 }
 
 TEST(ServerTest, LowRateLatencyIndependentOfRate) {
